@@ -87,6 +87,63 @@ def integrated_mean(times, values, defined=None) -> float | None:
     return float(np.trapezoid(v, t) / (t[-1] - t[0]))
 
 
+def _require_finite(values, what):
+    """Raise NumericError naming the first row of ``values`` that is not finite."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        row = int(np.argwhere(bad)[0, 0])
+        raise NumericError(f"{what} is not finite for row {row}")
+
+
+class _RankCounter:
+    """Counts the rows that score strictly below, or tie with, query scores.
+
+    The scores are ranked once into dense integer levels (``np.unique``), so
+    ties are exact and every count is an integer. No pair of rows is ever
+    stored: memory is O(n + L) for n rows and L distinct scores.
+    """
+
+    def __init__(self, scores, what):
+        scores = np.asarray(scores, dtype=float)
+        _require_finite(scores, what)
+        self.levels, self.ranks = np.unique(scores, return_inverse=True)
+
+    def below_and_tied(self, rows, query_ranks):
+        """For each query rank: the rows selected by ``rows`` that score
+        strictly below it, and those that tie with it. O(n + L) per call,
+        from a histogram of the selected rows over the levels."""
+        counts = np.bincount(self.ranks[rows], minlength=len(self.levels))
+        below = np.cumsum(counts) - counts
+        return below[query_ranks], counts[query_ranks]
+
+    def prefix_below_and_tied(self, order, ends, query_ranks):
+        """For each query k: the rows among ``order[:ends[k]]`` that score
+        strictly below ``query_ranks[k]``, and those that tie with it.
+
+        One sweep over the bits of the ranks, most significant first (a
+        wavelet matrix built and queried level by level): each level stably
+        moves the rows whose bit is 0 in front of those whose bit is 1, and
+        tracks, per query, the slice that holds the rows of its prefix that
+        agree with it on every bit so far. Rows leaving that slice with a 0
+        where the query has a 1 score below it; the slice left after the last
+        bit ties with it. O((n + q) log L) time and O(n + q) memory.
+        """
+        column = self.ranks[order]
+        start = np.zeros(len(query_ranks), dtype=np.int64)
+        end = np.asarray(ends, dtype=np.int64)
+        below = np.zeros(len(query_ranks), dtype=np.int64)
+        for bit in range(int(len(self.levels) - 1).bit_length() - 1, -1, -1):
+            ones = ((column >> bit) & 1).astype(bool)
+            zeros_before = np.concatenate(([0], np.cumsum(~ones)))
+            zs, ze = zeros_before[start], zeros_before[end]
+            high = ((query_ranks >> bit) & 1).astype(bool)
+            below += np.where(high, ze - zs, 0)
+            start = np.where(high, zeros_before[-1] + start - zs, zs)
+            end = np.where(high, zeros_before[-1] + end - ze, ze)
+            column = np.concatenate((column[~ones], column[ones]))
+        return below, end - start
+
+
 def brier_score(explainer: Explainer, data: SurvivalDataset, grid: TimeGrid | None = None) -> MetricCurve:
     """Time-dependent Brier score with IPCW weighting.
 
@@ -94,10 +151,12 @@ def brier_score(explainer: Explainer, data: SurvivalDataset, grid: TimeGrid | No
     events by 1/G(t_i-) and still-at-risk observations by 1/G(t).
     Observations whose weight would divide by G = 0 are dropped and the
     denominator adjusted; a grid point where everything is dropped is
-    flagged undefined.
+    flagged undefined. A non-finite prediction raises NumericError naming
+    its row.
     """
     grid = explainer.grid if grid is None else grid
     S = explainer.predict(data.features, "survival", times=grid)
+    _require_finite(S, "predicted survival")
     G = censoring_km(data)
     g_before = G.evaluate_left(data.times)[:, None]
     g_at = G.evaluate(grid.points)[None, :]
@@ -127,39 +186,57 @@ def cd_auc(explainer: Explainer, data: SurvivalDataset, grid: TimeGrid | None = 
     At each time t, cases are observed events with t_i <= t (weighted by
     1/G(t_i-)^2) and controls are observations still beyond t; tied risk
     scores count one half. Undefined whenever either side is empty.
+
+    Risk scores are ranked once; each grid point then counts controls below
+    every case from a histogram of the control ranks, so the cost is
+    O(n log n + T n) time and O(n) memory with no pair matrix. A non-finite
+    risk score raises NumericError naming its row.
     """
     grid = explainer.grid if grid is None else grid
-    risk = explainer.predict(data.features, "risk")
+    counter = _RankCounter(explainer.predict(data.features, "risk"), "risk score")
     G = censoring_km(data)
     g_before = G.evaluate_left(data.times)
     with np.errstate(divide="ignore"):
         w = np.where(g_before > 0, 1.0 / g_before**2, 0.0)
 
-    pair_score = (risk[:, None] > risk[None, :]) + 0.5 * (risk[:, None] == risk[None, :])
     values = np.full(len(grid), np.nan)
     defined = np.zeros(len(grid), dtype=bool)
     for k, t in enumerate(grid.points):
         cases = (data.times <= t) & (data.events == 1)
         controls = data.times > t
-        denominator = w[cases].sum() * controls.sum()
-        if denominator == 0:
+        n_controls = int(controls.sum())
+        w_cases = w[cases]
+        weight = w_cases.sum()
+        if weight * n_controls == 0:
             continue
-        numerator = (w[cases, None] * pair_score[np.ix_(cases, controls)]).sum()
-        values[k] = numerator / denominator
+        below, tied = counter.below_and_tied(controls, counter.ranks[cases])
+        # all ties make every case score exactly 0.5, hence a value of 0.5
+        case_score = (below + 0.5 * tied) / n_controls
+        values[k] = (w_cases * case_score).sum() / weight
         defined[k] = True
     return MetricCurve(grid, values, "cd_auc", integrated_mean(grid.points, values, defined), defined)
 
 
 def concordance_index(explainer: Explainer, data: SurvivalDataset) -> float:
     """Harrell's C: over pairs with t_i < t_j and an event at t_i, the
-    fraction whose risk ordering matches (ties count one half)."""
-    risk = explainer.predict(data.features, "risk")
-    comparable = (data.times[:, None] < data.times[None, :]) & (data.events[:, None] == 1)
-    n_comparable = comparable.sum()
+    fraction whose risk ordering matches (ties count one half).
+
+    Pairs are counted, never stored: the rows later than an event are a
+    prefix of the rows sorted by decreasing time, and one sweep over the
+    bits of the risk ranks counts every prefix at once, O(n log n) time and
+    O(n) memory. The counts are exact integers, so all-tied risks give
+    exactly 0.5. A non-finite risk score raises NumericError naming its row.
+    """
+    counter = _RankCounter(explainer.predict(data.features, "risk"), "risk score")
+    events = data.events == 1
+    by_decreasing_time = np.argsort(-data.times, kind="stable")
+    # rows strictly later than each event: a prefix of that order
+    later = np.searchsorted(-data.times[by_decreasing_time], -data.times[events], side="left")
+    n_comparable = int(later.sum())
     if n_comparable == 0:
         raise NumericError("concordance index undefined: no comparable pairs")
-    pair_score = (risk[:, None] > risk[None, :]) + 0.5 * (risk[:, None] == risk[None, :])
-    return float((comparable * pair_score).sum() / n_comparable)
+    below, tied = counter.prefix_below_and_tied(by_decreasing_time, later, counter.ranks[events])
+    return float((2 * int(below.sum()) + int(tied.sum())) / (2 * n_comparable))
 
 
 def roc_at_time(explainer: Explainer, data: SurvivalDataset, t: float) -> RocCurve:
@@ -168,7 +245,10 @@ def roc_at_time(explainer: Explainer, data: SurvivalDataset, t: float) -> RocCur
     Rows censored strictly before t are excluded (the naive estimator;
     transparent but not censoring-corrected). Positives are events with
     t_i <= t, negatives are rows with t_i > t, and the score is
-    1 - S(t | x_i) with S step-evaluated on the explainer grid.
+    1 - S(t | x_i) with S step-evaluated on the explainer grid. The sweep
+    reads, per threshold, the positives and negatives scoring below it from
+    rank histograms: O(n log n) time and O(n) memory. A non-finite score
+    raises NumericError naming its row.
     """
     t = float(t)
     if not np.isfinite(t):
@@ -185,16 +265,16 @@ def roc_at_time(explainer: Explainer, data: SurvivalDataset, t: float) -> RocCur
     if not negatives.any():
         raise NumericError(f"ROC undefined at t={t:g}: no negative controls")
 
-    thresholds = np.unique(score)
-    pos_scores = score[positives]
-    neg_scores = score[negatives]
-    tpr = [(pos_scores >= th).mean() for th in thresholds]
-    fpr = [(neg_scores >= th).mean() for th in thresholds]
+    counter = _RankCounter(score, "event-by-t score")
+    every_level = np.arange(len(counter.levels))
+    n_pos, n_neg = int(positives.sum()), int(negatives.sum())
+    pos_below, _ = counter.below_and_tied(positives, every_level)
+    neg_below, _ = counter.below_and_tied(negatives, every_level)
     return RocCurve(
         time=t,
-        fpr=np.append(fpr, 0.0),
-        tpr=np.append(tpr, 0.0),
-        thresholds=np.append(thresholds, np.inf),
+        fpr=np.append((n_neg - neg_below) / n_neg, 0.0),
+        tpr=np.append((n_pos - pos_below) / n_pos, 0.0),
+        thresholds=np.append(counter.levels, np.inf),
     )
 
 

@@ -124,13 +124,18 @@ def _breslow_baseline(beta, times, events, features) -> StepCurve:
 def _weibull_parts(params, times, events, features):
     params = np.asarray(params, dtype=float)
     a, b, beta = params[0], params[1], params[2:]
-    k = math.exp(a)
+    k = np.exp(a)
     eta = b + features @ beta
     u = np.log(times) - eta
     w = k * u
-    with np.errstate(over="ignore"):
-        z = np.exp(w)
+    z = np.exp(w)
     return k, w, z
+
+
+# A trial step can push the log-shape past exp's range. The log-likelihood
+# and its derivatives then come out non-finite, quietly, and the
+# step-halving in _newton_maximize rejects the step.
+_QUIET_OVERFLOW = {"over": "ignore", "invalid": "ignore"}
 
 
 def weibull_aft_loglik(params, times, events, features) -> float:
@@ -140,31 +145,34 @@ def weibull_aft_loglik(params, times, events, features) -> float:
     contributes the log density, a censoring contributes log S(t).
     """
     params = np.asarray(params, dtype=float)
-    _, w, z = _weibull_parts(params, times, events, features)
-    return float((events * (params[0] + w - np.log(times)) - z).sum())
+    with np.errstate(**_QUIET_OVERFLOW):
+        _, w, z = _weibull_parts(params, times, events, features)
+        return float((events * (params[0] + w - np.log(times)) - z).sum())
 
 
 def weibull_aft_gradient(params, times, events, features) -> np.ndarray:
-    k, w, z = _weibull_parts(params, times, events, features)
-    e = events
-    g_a = (e * (1.0 + w) - z * w).sum()
-    resid = k * (z - e)
-    return np.concatenate(([g_a, resid.sum()], resid @ features))
+    with np.errstate(**_QUIET_OVERFLOW):
+        k, w, z = _weibull_parts(params, times, events, features)
+        e = events
+        g_a = (e * (1.0 + w) - z * w).sum()
+        resid = k * (z - e)
+        return np.concatenate(([g_a, resid.sum()], resid @ features))
 
 
 def weibull_aft_hessian(params, times, events, features) -> np.ndarray:
-    k, w, z = _weibull_parts(params, times, events, features)
-    e = events
     p = features.shape[1]
     H = np.empty((p + 2, p + 2))
-    H[0, 0] = (e * w - z * w * (w + 1.0)).sum()
-    cross = k * (z * (w + 1.0) - e)
-    H[0, 1] = H[1, 0] = cross.sum()
-    H[0, 2:] = H[2:, 0] = cross @ features
-    kk_z = (k * k) * z
-    H[1, 1] = -kk_z.sum()
-    H[1, 2:] = H[2:, 1] = -(kk_z @ features)
-    H[2:, 2:] = -(features.T * kk_z) @ features
+    with np.errstate(**_QUIET_OVERFLOW):
+        k, w, z = _weibull_parts(params, times, events, features)
+        e = events
+        H[0, 0] = (e * w - z * w * (w + 1.0)).sum()
+        cross = k * (z * (w + 1.0) - e)
+        H[0, 1] = H[1, 0] = cross.sum()
+        H[0, 2:] = H[2:, 0] = cross @ features
+        kk_z = (k * k) * z
+        H[1, 1] = -kk_z.sum()
+        H[1, 2:] = H[2:, 1] = -(kk_z @ features)
+        H[2:, 2:] = -(features.T * kk_z) @ features
     return H
 
 

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from survival_explain import (
+    Explainer,
     InputError,
     NumericError,
     TimeGrid,
@@ -355,3 +359,199 @@ class TestIntegratedMean:
     def test_fewer_than_two_defined_points_yield_none(self):
         assert integrated_mean([1.0, 2.0, 3.0], [np.nan, 4.0, np.nan]) is None
         assert integrated_mean([2.0, 2.0], [1.0, 1.0]) is None
+
+
+# -- property tests against brute-force pair loops ----------------------------
+
+# Few distinct times and at most 17 survival levels, so ties are everywhere.
+LEVELS = tuple(np.linspace(0.1, 0.9, 17))
+GRID = TimeGrid(np.arange(0.5, 7.0))
+# The explainer's background only has to pass construction; every metric is
+# evaluated on the drawn dataset.
+BACKGROUND = make_dataset([1.0, 2.0], [1, 0], [[0.5], [0.5]], ["s"])
+
+
+@st.composite
+def tied_cohorts(draw, levels=LEVELS):
+    n = draw(st.integers(min_value=2, max_value=20))
+    times = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    events = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    n_levels = draw(st.integers(min_value=1, max_value=len(levels)))
+    survival = draw(st.lists(st.sampled_from(levels[:n_levels]), min_size=n, max_size=n))
+    return make_dataset(times, events, np.array(survival)[:, None], ["s"])
+
+
+def level_explainer():
+    return explain(survival_from_feature, BACKGROUND, grid=GRID)
+
+
+def loop_concordance(times, events, risk):
+    concordant = 0.0
+    comparable = 0
+    for i in range(len(times)):
+        for j in range(len(times)):
+            if times[i] < times[j] and events[i] == 1:
+                comparable += 1
+                if risk[i] > risk[j]:
+                    concordant += 1.0
+                elif risk[i] == risk[j]:
+                    concordant += 0.5
+    return None if comparable == 0 else concordant / comparable
+
+
+def loop_cd_auc(times, events, risk, grid):
+    """(value or None) per grid point from explicit case x control loops."""
+    n = len(times)
+    out = []
+    for t in grid:
+        cases = [i for i in range(n) if times[i] <= t and events[i] == 1]
+        controls = [j for j in range(n) if times[j] > t]
+        numerator = 0.0
+        weight_sum = 0.0
+        for i in cases:
+            g = censor_surv_left(times, events, times[i])
+            w = 0.0 if g == 0 else 1.0 / g**2
+            weight_sum += w
+            for j in controls:
+                if risk[i] > risk[j]:
+                    numerator += w
+                elif risk[i] == risk[j]:
+                    numerator += 0.5 * w
+        out.append(None if weight_sum * len(controls) == 0 else numerator / (weight_sum * len(controls)))
+    return out
+
+
+class TestRankMetricsAgainstPairLoops:
+    @settings(deadline=None, max_examples=150)
+    @given(tied_cohorts())
+    def test_concordance_matches_pair_loop(self, data):
+        explainer = level_explainer()
+        want = loop_concordance(data.times, data.events, explainer.predict(data.features, "risk"))
+        if want is None:
+            with pytest.raises(NumericError, match="no comparable pairs"):
+                concordance_index(explainer, data)
+        else:
+            assert abs(concordance_index(explainer, data) - want) <= 1e-12
+
+    @settings(deadline=None, max_examples=150)
+    @given(tied_cohorts())
+    def test_cd_auc_matches_weighted_pair_loop(self, data):
+        explainer = level_explainer()
+        curve = cd_auc(explainer, data)
+        want = loop_cd_auc(data.times, data.events, explainer.predict(data.features, "risk"), GRID.points)
+        assert list(curve.defined) == [v is not None for v in want]
+        for got, value in zip(curve.values, want):
+            if value is not None:
+                assert abs(got - value) <= 1e-12
+
+    @settings(deadline=None, max_examples=150)
+    @given(tied_cohorts(), st.sampled_from([1.5, 2.5, 3.5, 4.5, 5.5]))
+    def test_roc_matches_threshold_loop(self, data, t):
+        explainer = level_explainer()
+        positives = [i for i in range(len(data.times)) if data.events[i] == 1 and data.times[i] <= t]
+        negatives = [j for j in range(len(data.times)) if data.times[j] > t]
+        if not positives or not negatives:
+            with pytest.raises(NumericError, match="ROC undefined"):
+                roc_at_time(explainer, data, t)
+            return
+        roc = roc_at_time(explainer, data, t)
+        score = 1.0 - data.features[:, 0]
+        thresholds = sorted(set(score))
+        tpr = [sum(score[i] >= th for i in positives) / len(positives) for th in thresholds]
+        fpr = [sum(score[j] >= th for j in negatives) / len(negatives) for th in thresholds]
+        assert np.array_equal(roc.thresholds, [*thresholds, np.inf])
+        assert np.abs(roc.tpr - [*tpr, 0.0]).max() <= 1e-12
+        assert np.abs(roc.fpr - [*fpr, 0.0]).max() <= 1e-12
+
+    @settings(deadline=None, max_examples=60)
+    @given(tied_cohorts(levels=(0.5,)))
+    def test_all_tied_risks_give_exactly_half(self, data):
+        explainer = level_explainer()
+        if loop_concordance(data.times, data.events, data.features[:, 0]) is not None:
+            assert concordance_index(explainer, data) == 0.5
+        curve = cd_auc(explainer, data)
+        assert np.all(curve.values[curve.defined] == 0.5)
+
+    @settings(deadline=None, max_examples=60)
+    @given(tied_cohorts())
+    def test_monotone_risk_transform_is_bit_equal(self, data):
+        explainer = level_explainer()
+        # squaring a survival level in (0, 1) keeps the risk ordering
+        squared = make_dataset(data.times, data.events, data.features**2, ["s"])
+        if loop_concordance(data.times, data.events, data.features[:, 0]) is not None:
+            assert concordance_index(explainer, data) == concordance_index(explainer, squared)
+        a, b = cd_auc(explainer, data), cd_auc(explainer, squared)
+        assert np.array_equal(a.defined, b.defined)
+        assert np.array_equal(a.values[a.defined], b.values[b.defined])
+
+
+class TestNonFinitePredictions:
+    @pytest.fixture
+    def nan_above_seventy(self):
+        # passes the probe on row 0 (age 50), then returns NaN past age 70
+        data = make_dataset(
+            [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+            [1, 1, 0, 1, 0, 1],
+            [[50.0], [60.0], [65.0], [72.0], [55.0], [80.0]],
+            ["age"],
+        )
+
+        def model(x, grid):
+            if x[0] > 70:
+                return np.full(len(grid), np.nan)
+            return np.exp(-grid.points * x[0] / 500.0)
+
+        return data, explain(model, data)
+
+    def test_rank_metrics_name_the_first_bad_row(self, nan_above_seventy):
+        data, explainer = nan_above_seventy
+        with pytest.raises(NumericError, match="risk score is not finite for row 3"):
+            concordance_index(explainer, data)
+        with pytest.raises(NumericError, match="risk score is not finite for row 3"):
+            cd_auc(explainer, data)
+        with pytest.raises(NumericError, match="not finite for row 3"):
+            roc_at_time(explainer, data, 3.5)
+
+    def test_brier_score_names_the_first_bad_row(self, nan_above_seventy):
+        data, explainer = nan_above_seventy
+        with pytest.raises(NumericError, match="predicted survival is not finite for row 3"):
+            brier_score(explainer, data)
+
+
+class TestRankMetricMemory:
+    def test_twenty_thousand_rows_stay_linear_in_memory(self):
+        # an n x n float matrix at this size alone would take 3.2 GB
+        n = 20_000
+        rng = np.random.default_rng(0)
+        times = np.ceil(rng.exponential(30.0, n))
+        events = (rng.random(n) < 0.65).astype(int)
+        levels = np.round(rng.uniform(0.05, 0.95, n), 3)
+        data = make_dataset(times, events, levels[:, None], ["s"])
+        grid = TimeGrid(np.linspace(2.0, 60.0, 20))
+        explainer = Explainer(
+            predict_fn=survival_from_feature,
+            background=data,
+            grid=grid,
+            batch_fn=lambda X, g: np.repeat(X[:, :1], len(g), axis=1),
+        )
+
+        tracemalloc.start()
+        try:
+            c = concordance_index(explainer, data)
+            curve = cd_auc(explainer, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+        assert curve.defined.all()
+
+        risk = explainer.predict(data.features, "risk")
+        concordant2 = 0
+        comparable = 0
+        for start in range(0, n, 1000):
+            rows = slice(start, start + 1000)
+            later = (times[rows, None] < times[None, :]) & (events[rows, None] == 1)
+            comparable += int(later.sum())
+            concordant2 += 2 * int((later & (risk[rows, None] > risk[None, :])).sum())
+            concordant2 += int((later & (risk[rows, None] == risk[None, :])).sum())
+        assert c == concordant2 / (2 * comparable)

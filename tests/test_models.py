@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,20 @@ class TestWeibullAft:
         assert fitted.shape == pytest.approx(shape_true, rel=0.15)
         assert fitted.intercept == pytest.approx(1.0, abs=0.15)
         assert np.allclose(fitted.coefficients, [0.5, -0.3], atol=0.15)
+
+    def test_overflowing_log_shape_gives_non_finite_not_an_exception(self, cox_data):
+        # exp(1390) overflows a double; a damped Newton step can land there,
+        # and the step-halving needs a non-finite value to reject it
+        params = np.array([1390.0, 1.0, 0.3, -0.2])
+        args = (cox_data.times, cox_data.events, cox_data.features)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loglik = weibull_aft_loglik(params, *args)
+            gradient = weibull_aft_gradient(params, *args)
+            hessian = weibull_aft_hessian(params, *args)
+        assert not np.isfinite(loglik)
+        assert gradient.shape == (4,)
+        assert hessian.shape == (4, 4)
 
     def test_nonpositive_times_rejected(self):
         with pytest.raises(InputError):

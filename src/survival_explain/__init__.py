@@ -3,8 +3,10 @@
 Wrap any model that can emit survival functions in an :class:`Explainer`
 via :func:`explain`, then feed it to the metric, profile, importance, and
 attribution functions. Built-in Kaplan-Meier, Cox, and Weibull AFT models
-are adapted automatically; anything else plugs in through a predict
-function returning survival probabilities over a time grid.
+are used directly; anything else plugs in as a function returning survival
+probabilities over a time grid, per row through :func:`explain` or as an
+(n, T) batch through ``Explainer(model=f, ...)``. Function output is checked
+on every call, and a bad row fails with an error naming it.
 """
 
 from .artifacts import TOOL_VERSION

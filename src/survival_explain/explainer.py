@@ -1,29 +1,22 @@
 """The central model wrapper: one prediction surface over a shared time grid.
 
-An :class:`Explainer` pairs a model's survival-prediction function with the
-background dataset every explanation method draws from. Predictions can be
-requested as survival probabilities, cumulative hazard, or a relative-risk
-scalar (the grid-sum of the cumulative hazard; implementation-defined, since
-any strictly monotone functional preserves risk ordering).
+An :class:`Explainer` pairs a model with the background dataset every
+explanation method draws from. Predictions can be requested as survival
+probabilities, cumulative hazard, or a relative-risk scalar (the grid-sum of
+the cumulative hazard; implementation-defined, since any strictly monotone
+functional preserves risk ordering).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
-from .data import StepCurve, SurvivalDataset, TimeGrid
-from .errors import InputError
-from .models import (
-    CoxModel,
-    KaplanMeierModel,
-    WeibullAftModel,
-    predict_survival,
-    predict_survival_matrix,
-)
+from .data import _SHAPE_TOL, StepCurve, SurvivalDataset, TimeGrid
+from .errors import InputError, NumericError
+from .models import CoxModel, KaplanMeierModel, WeibullAftModel, predict_survival_matrix
 
 #: Survival probabilities are clamped to at least this before any logarithm.
 SURVIVAL_FLOOR = 1e-18
@@ -66,7 +59,7 @@ def default_time_grid(background: SurvivalDataset, max_points: int = GRID_CAP) -
 
 
 def _curve_values(prediction, grid: TimeGrid) -> np.ndarray:
-    """Extract the value vector from a predict_fn output (StepCurve or array)."""
+    """Extract the value vector from a per-row prediction (StepCurve or array)."""
     if isinstance(prediction, StepCurve):
         if prediction.kind != "survival":
             raise InputError(f"prediction curve has kind {prediction.kind!r}, expected 'survival'")
@@ -79,52 +72,89 @@ def _curve_values(prediction, grid: TimeGrid) -> np.ndarray:
     return values
 
 
+def _per_row(fn):
+    """Adapt a per-row callable ``fn(x, grid)`` to the batch contract ``f(X, grid)``."""
+
+    def batch(X, grid):
+        S = np.empty((len(X), len(grid)))
+        for i, row in enumerate(X):
+            values = _curve_values(fn(row, grid), grid)
+            if len(values) != len(grid):
+                raise InputError(
+                    f"prediction length {len(values)} does not match grid length "
+                    f"{len(grid)} for row {i}"
+                )
+            S[i] = values
+        return S
+
+    return batch
+
+
+def _checked_survival(S, n_rows: int, grid: TimeGrid) -> np.ndarray:
+    """A callable's output as an (n, T) survival matrix, clamped to [0, 1].
+
+    Raises ``InputError`` for a wrong shape, a value out of [0, 1] or a
+    rising curve, and ``NumericError`` for a non-finite value, each naming
+    the first bad row. The whole-matrix test is vectorised; rows are only
+    scanned once it has failed. Its ``and`` chain reaches ``np.diff`` only
+    when every value is finite, since ``inf - inf`` would warn.
+    """
+    S = np.asarray(S, dtype=float)
+    if S.shape != (n_rows, len(grid)):
+        raise InputError(
+            f"prediction shape {S.shape} does not match {n_rows} rows by grid length {len(grid)}"
+        )
+    valid = S.size == 0 or (
+        S.min() >= -_SHAPE_TOL
+        and S.max() <= 1 + _SHAPE_TOL
+        and np.diff(S, axis=1).max() <= _SHAPE_TOL
+    )
+    if not valid:
+        for i, row in enumerate(S):
+            if not np.all(np.isfinite(row)):
+                raise NumericError(f"predicted survival is not finite for row {i}")
+            if row.min() < -_SHAPE_TOL or row.max() > 1 + _SHAPE_TOL:
+                raise InputError(f"survival value out of [0,1] for row {i}")
+            if np.any(np.diff(row) > _SHAPE_TOL):
+                raise InputError(f"survival curve must be nonincreasing for row {i}")
+    return np.clip(S, 0.0, 1.0)
+
+
 @dataclass
 class Explainer:
     """A wrapped model plus the background data all explanations draw from.
 
-    ``predict_fn(x, grid)`` must return the survival curve for the single
-    feature vector ``x`` evaluated at ``grid`` (a StepCurve or a plain value
-    vector of matching length). It must be safe for concurrent invocation;
-    the explainer itself is immutable after construction.
+    ``model`` is either a fitted built-in model (Kaplan-Meier, Cox or
+    Weibull AFT) or a batch callable ``f(X, grid)`` returning the (n, T)
+    survival matrix of the rows of ``X`` at ``grid``. A callable's output is
+    checked on every call: a non-finite value raises ``NumericError``; a
+    wrong shape, a value out of [0, 1] or a rising curve raises
+    ``InputError``; each names the first bad row. A callable must be safe
+    for concurrent invocation. :func:`explain` wraps a per-row callable
+    ``f(x, grid)`` in this batch form.
     """
 
-    predict_fn: Callable
+    model: object
     background: SurvivalDataset
     grid: TimeGrid
     label: str = "model"
-    batch_fn: Callable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.background.n_observations < 2:
             raise InputError("background must contain at least two observations")
         if not np.any(self.background.events == 1):
             raise InputError("background must contain at least one event")
-        probe = _curve_values(self.predict_fn(self.background.features[0], self.grid), self.grid)
-        if len(probe) != len(self.grid):
-            raise InputError(
-                f"prediction length {len(probe)} does not match grid length {len(self.grid)}"
-            )
-        if not np.all(np.isfinite(probe)):
-            raise InputError("survival prediction contains non-finite values")
-        if probe.min() < -1e-9 or probe.max() > 1 + 1e-9:
-            raise InputError("survival value out of [0,1]")
-        if np.any(np.diff(probe) > 1e-9):
-            raise InputError("survival curve must be nonincreasing")
+        self.survival_matrix(self.background.features[:1])
 
     # -- prediction ---------------------------------------------------------
 
     def survival_matrix(self, X: np.ndarray, grid: TimeGrid | None = None) -> np.ndarray:
-        """(n, T) survival probabilities, clamped to [0, 1]."""
+        """(n, T) survival probabilities in [0, 1]; a callable's output is checked first."""
         grid = self.grid if grid is None else grid
         X = np.asarray(X, dtype=float)
-        if self.batch_fn is not None:
-            S = np.asarray(self.batch_fn(X, grid), dtype=float)
-        else:
-            S = np.empty((X.shape[0], len(grid)))
-            for i, row in enumerate(X):
-                S[i] = _curve_values(self.predict_fn(row, grid), grid)
-        return np.clip(S, 0.0, 1.0)
+        if callable(self.model):
+            return _checked_survival(self.model(X, grid), len(X), grid)
+        return predict_survival_matrix(self.model, X, grid)
 
     def predict(self, X, output_type="survival", times: TimeGrid | None = None):
         """Predictions for the rows of ``X`` in the requested format.
@@ -157,12 +187,13 @@ class Explainer:
 
 
 def explain(model, background: SurvivalDataset, grid=None, label: str | None = None) -> Explainer:
-    """Wrap a fitted model or a user prediction function as an Explainer.
+    """Wrap a fitted model or a per-row prediction function as an Explainer.
 
-    Built-in models (Kaplan-Meier, Cox, Weibull AFT) are adapted
-    automatically. Anything else must be a callable ``(x, grid) ->``
-    survival curve, validated on a probe row at construction. When ``grid``
-    is omitted it is derived from the background event times.
+    Built-in models (Kaplan-Meier, Cox, Weibull AFT) are used as they are.
+    Anything else must be a callable ``(x, grid) ->`` survival curve (a
+    StepCurve or a value vector) for one feature vector; it is called row by
+    row and checked as :class:`Explainer` describes. When ``grid`` is
+    omitted it is derived from the background event times.
     """
     if grid is None:
         grid = default_time_grid(background)
@@ -175,19 +206,10 @@ def explain(model, background: SurvivalDataset, grid=None, label: str | None = N
             WeibullAftModel: "weibull_aft",
             KaplanMeierModel: "kaplan_meier",
         }[type(model)]
-        return Explainer(
-            predict_fn=lambda x, g: predict_survival(model, x, g),
-            background=background,
-            grid=grid,
-            label=label or default_label,
-            batch_fn=lambda X, g: predict_survival_matrix(model, X, g),
-        )
+        return Explainer(model, background, grid, label or default_label)
     if callable(model):
         return Explainer(
-            predict_fn=model,
-            background=background,
-            grid=grid,
-            label=label or getattr(model, "__name__", "custom"),
+            _per_row(model), background, grid, label or getattr(model, "__name__", "custom")
         )
     raise InputError(
         f"unsupported model type {type(model).__name__}; "

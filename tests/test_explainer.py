@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from survival_explain import (
+    Explainer,
     InputError,
+    NumericError,
     StepCurve,
     SurvivalDataset,
     TimeGrid,
@@ -12,7 +14,12 @@ from survival_explain import (
     fit_cox,
     fit_kaplan_meier,
     fit_weibull_aft,
+    model_parts,
+    model_profile,
+    predict_parts_survlime,
+    predict_parts_survshap,
 )
+from survival_explain.models import predict_survival_matrix
 
 from conftest import make_dataset, simulate_cox
 
@@ -111,6 +118,81 @@ class TestExplainConstruction:
         first = explain(fit_cox(cox_data), cox_data)
         second = explain(fit_cox(cox_data), cox_data)
         assert np.array_equal(first.grid.points, second.grid.points)
+
+
+def bad_past_seventy(kind):
+    """A per-row model that passes the construction probe (age 50) and turns
+    bad only for rows with age > 70."""
+
+    def predict(x, grid):
+        if x[0] <= 70:
+            return np.exp(-grid.points * x[0] / 500.0)
+        if kind == "nan":
+            return np.full(len(grid), np.nan)
+        if kind == "rising":
+            return np.linspace(0.2, 0.9, len(grid))
+        return np.ones(len(grid) - 1)
+
+    return predict
+
+
+BAD_OUTPUT = {
+    "nan": (NumericError, "predicted survival is not finite for row {}$"),
+    "rising": (InputError, "survival curve must be nonincreasing for row {}$"),
+    "short": (InputError, "does not match grid length .* for row {}$"),
+}
+
+DRIVERS = {
+    "survshap": lambda ex: predict_parts_survshap(ex, ex.background.features[0]),
+    "pdp": lambda ex: model_profile(ex, "age"),
+    "survlime": lambda ex: predict_parts_survlime(ex, np.array([68.0, 0.0])),
+    "model_parts": lambda ex: model_parts(ex, n_permutations=1),
+}
+
+
+class TestOutputCheckedOnEveryCall:
+    @pytest.fixture
+    def aged_data(self):
+        age = [50.0, 60.0, 65.0, 72.0, 55.0, 80.0, 58.0, 62.0, 75.0, 52.0]
+        z = [0.1, -0.4, 0.3, 0.9, -1.2, 0.5, 0.0, -0.7, 1.1, 0.2]
+        events = [1, 1, 0, 1, 0, 1, 1, 0, 1, 1]
+        return make_dataset(np.arange(1.0, 11.0), events, np.column_stack([age, z]), ["age", "z"])
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    @pytest.mark.parametrize("kind", BAD_OUTPUT)
+    def test_drivers_name_the_first_bad_row_of_their_batch(self, aged_data, kind, driver):
+        explainer = explain(bad_past_seventy(kind), aged_data)
+        batches = []
+        per_row = explainer.model
+
+        def recording(X, grid):
+            batches.append(X)
+            return per_row(X, grid)
+
+        explainer.model = recording
+        error, message = BAD_OUTPUT[kind]
+        with pytest.raises(error) as raised:
+            DRIVERS[driver](explainer)
+        first_bad = int(np.argmax(batches[-1][:, 0] > 70))
+        assert batches[-1][first_bad, 0] > 70
+        assert raised.match(message.format(first_bad))
+
+    def test_batch_callable_of_wrong_width_rejected_at_construction(self, cox_data):
+        with pytest.raises(InputError, match="grid length"):
+            Explainer(
+                model=lambda X, g: np.ones((len(X), len(g) - 1)),
+                background=cox_data,
+                grid=default_time_grid(cox_data),
+            )
+
+    @pytest.mark.parametrize("fit", [fit_cox, fit_weibull_aft, fit_kaplan_meier])
+    def test_builtin_survival_matrix_is_the_model_prediction(self, cox_data, fit):
+        model = fit(cox_data)
+        explainer = explain(model, cox_data)
+        X = cox_data.features[:25]
+        assert np.array_equal(
+            explainer.survival_matrix(X), predict_survival_matrix(model, X, explainer.grid)
+        )
 
 
 class TestPredict:

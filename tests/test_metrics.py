@@ -505,9 +505,9 @@ class TestNonFinitePredictions:
 
     def test_rank_metrics_name_the_first_bad_row(self, nan_above_seventy):
         data, explainer = nan_above_seventy
-        with pytest.raises(NumericError, match="risk score is not finite for row 3"):
+        with pytest.raises(NumericError, match="predicted survival is not finite for row 3"):
             concordance_index(explainer, data)
-        with pytest.raises(NumericError, match="risk score is not finite for row 3"):
+        with pytest.raises(NumericError, match="predicted survival is not finite for row 3"):
             cd_auc(explainer, data)
         with pytest.raises(NumericError, match="not finite for row 3"):
             roc_at_time(explainer, data, 3.5)
@@ -529,10 +529,9 @@ class TestRankMetricMemory:
         data = make_dataset(times, events, levels[:, None], ["s"])
         grid = TimeGrid(np.linspace(2.0, 60.0, 20))
         explainer = Explainer(
-            predict_fn=survival_from_feature,
+            model=lambda X, g: np.repeat(X[:, :1], len(g), axis=1),
             background=data,
             grid=grid,
-            batch_fn=lambda X, g: np.repeat(X[:, :1], len(g), axis=1),
         )
 
         tracemalloc.start()

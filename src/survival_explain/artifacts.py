@@ -25,6 +25,11 @@ def jsonify(value):
     if isinstance(value, (list, tuple)):
         return [jsonify(item) for item in value]
     if isinstance(value, np.ndarray):
+        if value.dtype.kind in "biuf":
+            # one pass over the array, not one Python call per element
+            cells = value.astype(object)
+            cells[~np.isfinite(value)] = None
+            return cells.tolist()
         return [jsonify(item) for item in value.tolist()]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)

@@ -331,6 +331,7 @@ def _handle_shap(args, explainer, data):
         "aggregate": shap.aggregate,
         "n_samples": shap.n_samples,
         "seed": shap.seed,
+        "standard_error": shap.standard_error,
     }
     curves = [
         {"label": name, "x": explainer.grid.points, "y": shap.phi[j]}

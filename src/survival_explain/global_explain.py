@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import SurvivalDataset, TimeGrid
 from .errors import InputError
-from .explainer import Explainer, _normalize_output_type
+from .explainer import Explainer, OutputType, _normalize_output_type
 from .metrics import loss_adapter
 
 # Profile background subsampling uses its own fixed seed: the sample is part
@@ -25,6 +25,13 @@ PROFILE_SAMPLE_SEED = 42
 PDP_GRID_SIZE = 25
 ALE_BINS = 10
 PROFILE_BACKGROUND_CAP = 100
+
+# Rows x grid points per model call in the stacked drivers (SurvSHAP
+# coalitions, PDP grid points): six 100-row blocks at the 51-point default
+# grid. Sized by peak memory: a call holds a few (rows, T) float arrays, and
+# twice this budget raised the explanation benchmark's peak resident memory
+# by 2 %, four times by 6 %, where this one adds 0.4 %.
+_STACK_CELLS = 1 << 15
 
 
 @dataclass
@@ -87,6 +94,8 @@ def background_sample(features: np.ndarray, cap: int) -> np.ndarray:
     whenever cap >= n, which keeps averaged profiles bit-comparable with
     manual recomputations over the background.
     """
+    if cap < 1:
+        raise InputError("n_background must be at least 1")
     n = features.shape[0]
     rng = np.random.default_rng(PROFILE_SAMPLE_SEED)
     idx = np.sort(rng.permutation(n)[: min(n, cap)])
@@ -152,11 +161,26 @@ def _quantile_grid(values: np.ndarray, size: int) -> np.ndarray:
     return np.unique(np.quantile(values, np.linspace(0.0, 1.0, size)))
 
 
-def _profile_means(explainer, sample, columns, grid_point, output_type):
-    modified = sample.copy()
-    for j, z in zip(columns, grid_point):
-        modified[:, j] = z
-    return explainer.predict(modified, output_type).mean(axis=0)
+def _stacked_means(explainer, sample, take, values, output_type=OutputType.SURVIVAL):
+    """Mean prediction over ``sample`` for each block of a stacked batch.
+
+    Block b is ``sample`` with the columns where ``take[b]`` is set replaced
+    by ``values[b]``; ``take`` and ``values`` broadcast to (blocks, p). Whole
+    blocks go to the model together, as many per call as fit in
+    ``_STACK_CELLS`` cells, and each block's mean is the same ordered sum
+    over its rows that predicting it alone would give.
+    """
+    take, values = np.broadcast_arrays(np.asarray(take, dtype=bool), values)
+    m, p = sample.shape
+    per_call = max(1, _STACK_CELLS // (m * len(explainer.grid)))
+    time_shape = () if output_type is OutputType.RISK else (len(explainer.grid),)
+    means = np.empty((len(take),) + time_shape)
+    for start in range(0, len(take), per_call):
+        stop = min(start + per_call, len(take))
+        rows = np.where(take[start:stop, None, :], values[start:stop, None, :], sample)
+        predicted = explainer.predict(rows.reshape(-1, p), output_type)
+        means[start:stop] = predicted.reshape((stop - start, m) + time_shape).mean(axis=1)
+    return means
 
 
 def model_profile(
@@ -184,9 +208,8 @@ def model_profile(
 
     if method == "pdp":
         grid_values = _quantile_grid(column, PDP_GRID_SIZE if grid_size is None else grid_size)
-        values = np.stack(
-            [_profile_means(explainer, sample, (j,), (z,), output_type) for z in grid_values]
-        )
+        take = np.arange(sample.shape[1]) == j
+        values = _stacked_means(explainer, sample, take, grid_values[:, None], output_type)
         return ProfileSurface((variable,), (grid_values,), explainer.grid, values, "pdp", output_type)
 
     bins = ALE_BINS if grid_size is None else grid_size
@@ -198,18 +221,16 @@ def model_profile(
     # half-open bins (edges[k-1], edges[k]]; values at the lowest edge join bin 1
     assignment = np.clip(np.searchsorted(edges, sample[:, j], side="left"), 1, len(edges) - 1)
     zero = np.zeros(()) if output_type == "risk" else np.zeros(len(explainer.grid))
-    effects = []
-    for k in range(1, len(edges)):
-        members = sample[assignment == k]
-        if len(members) == 0:
-            effects.append(zero)
-            continue
-        upper = members.copy()
-        upper[:, j] = edges[k]
-        lower = members.copy()
-        lower[:, j] = edges[k - 1]
-        delta = explainer.predict(upper, output_type) - explainer.predict(lower, output_type)
-        effects.append(delta.mean(axis=0))
+    upper = sample.copy()
+    upper[:, j] = edges[assignment]
+    lower = sample.copy()
+    lower[:, j] = edges[assignment - 1]
+    predicted = explainer.predict(np.concatenate([upper, lower]), output_type)
+    delta = predicted[: len(sample)] - predicted[len(sample) :]
+    effects = [
+        delta[assignment == k].mean(axis=0) if np.any(assignment == k) else zero
+        for k in range(1, len(edges))
+    ]
     accumulated = np.concatenate([zero[None, ...], np.cumsum(effects, axis=0)])
     accumulated = accumulated - accumulated.mean(axis=0, keepdims=True)
     return ProfileSurface((variable,), (edges,), explainer.grid, accumulated, "ale", output_type)
@@ -233,17 +254,13 @@ def model_profile_2d(
     grid2 = _quantile_grid(explainer.background.features[:, j2], grid_size)
     sample = background_sample(explainer.background.features, n_background)
 
-    values = np.stack(
-        [
-            np.stack(
-                [
-                    _profile_means(explainer, sample, (j1, j2), (z1, z2), output_type)
-                    for z2 in grid2
-                ]
-            )
-            for z1 in grid1
-        ]
-    )
+    p = sample.shape[1]
+    take = np.isin(np.arange(p), (j1, j2))
+    pinned = np.zeros((len(grid1), len(grid2), p))
+    pinned[:, :, j1] = grid1[:, None]
+    pinned[:, :, j2] = grid2[None, :]
+    means = _stacked_means(explainer, sample, take, pinned.reshape(-1, p), output_type)
+    values = means.reshape((len(grid1), len(grid2)) + means.shape[1:])
     return ProfileSurface(
         (first, second), (grid1, grid2), explainer.grid, values, "pdp", output_type
     )

@@ -6,7 +6,10 @@ the coalition game v(S)(t) = mean over background rows of the prediction
 with coordinates in S taken from the explained instance. Exact enumeration
 runs when the coalition count is desk-scale; otherwise permutation sampling
 with telescoping marginal contributions keeps the efficiency identity exact
-per sampled permutation.
+per sampled permutation. Either way each distinct coalition is predicted
+once: its background rows are stacked with those of other coalitions, whole
+coalitions per model call, so the cost is the rows predicted, not the number
+of calls.
 """
 
 from __future__ import annotations
@@ -20,7 +23,12 @@ from .data import TimeGrid
 from .errors import InputError, NumericError
 from .estimators import nelson_aalen
 from .explainer import SURVIVAL_FLOOR, Explainer, _normalize_output_type
-from .global_explain import PROFILE_BACKGROUND_CAP, background_sample, _quantile_grid
+from .global_explain import (
+    PROFILE_BACKGROUND_CAP,
+    _quantile_grid,
+    _stacked_means,
+    background_sample,
+)
 
 # exact Shapley enumerates 2^p coalitions; beyond this the sampler takes over
 EXACT_COALITION_LIMIT = 10
@@ -34,7 +42,10 @@ class SurvShapResult:
     ``phi[j, k]`` is variable j's contribution at grid point k; summed over j
     it reproduces prediction minus baseline (exactly for the exact method,
     and per sampled permutation for the sampler). ``aggregate`` is the
-    span-normalized integral of |phi| per variable.
+    span-normalized integral of |phi| per variable. ``standard_error`` is the
+    sampler's Monte-Carlo standard error of each ``phi[j, k]`` (the std of the
+    per-permutation contributions over sqrt(n_samples); NaN for a single
+    permutation) and None for exact enumeration.
     """
 
     instance: np.ndarray
@@ -45,6 +56,7 @@ class SurvShapResult:
     method: str
     n_samples: int
     seed: int | None
+    standard_error: np.ndarray | None = None
 
 
 @dataclass
@@ -98,59 +110,58 @@ class GlobalSurvShap:
     beeswarm_data: np.ndarray
 
 
-class _CoalitionValues:
-    """Caches v(S)(t) per coalition bitmask.
+def _exact_shapley(explainer, x, background):
+    """Exact phi, baseline and no standard error, from all 2^p coalitions.
 
-    One evaluation predicts a full background-sized batch, so both the exact
-    enumerator and the permutation sampler share this cache; the sampler
-    revisits prefixes often enough that caching dominates its cost.
+    Row ``mask`` of the value matrix is the coalition whose bit j says
+    whether variable j comes from ``x``. Each phi[j] weighs the differences
+    v(S with j) - v(S), so a variable the model ignores gets exact zeros.
     """
-
-    def __init__(self, explainer, x, background):
-        self.explainer = explainer
-        self.x = x
-        self.background = background
-        self._cache = {}
-
-    def value(self, mask: int) -> np.ndarray:
-        found = self._cache.get(mask)
-        if found is not None:
-            return found
-        take = np.array([(mask >> j) & 1 for j in range(len(self.x))], dtype=bool)
-        batch = np.where(take[None, :], self.x[None, :], self.background)
-        result = self.explainer.survival_matrix(batch).mean(axis=0)
-        self._cache[mask] = result
-        return result
-
-
-def _exact_shapley(values: _CoalitionValues, p: int) -> np.ndarray:
-    weights = [
-        math.factorial(size) * math.factorial(p - size - 1) / math.factorial(p)
-        for size in range(p)
-    ]
-    phi = np.zeros((p, len(values.value(0))))
-    for mask in range(1 << p):
-        v_mask = values.value(mask)
-        size = bin(mask).count("1")
-        for j in range(p):
-            if mask & (1 << j):
-                continue
-            phi[j] += weights[size] * (values.value(mask | (1 << j)) - v_mask)
-    return phi
+    p = len(x)
+    masks = np.arange(1 << p)
+    take = ((masks[:, None] >> np.arange(p)) & 1).astype(bool)
+    values = _stacked_means(explainer, background, take, x)
+    sizes = take.sum(axis=1)
+    weights = np.array(
+        [
+            math.factorial(size) * math.factorial(p - size - 1) / math.factorial(p)
+            for size in range(p)
+        ]
+    )
+    phi = np.empty((p, values.shape[1]))
+    for j in range(p):
+        without = masks[~take[:, j]]
+        gains = values[without | (1 << j)] - values[without]
+        phi[j] = (weights[sizes[without], None] * gains).sum(axis=0)
+    # a copy, so a kept result does not hold the whole value matrix alive
+    return phi, values[0].copy(), None
 
 
-def _sampled_shapley(values, p, n_permutations, rng) -> np.ndarray:
-    phi = np.zeros((p, len(values.value(0))))
-    for _ in range(n_permutations):
-        order = rng.permutation(p)
-        mask = 0
-        previous = values.value(0)
-        for j in order:
-            mask |= 1 << int(j)
-            current = values.value(mask)
-            phi[j] += current - previous
-            previous = current
-    return phi / n_permutations
+def _sampled_shapley(explainer, x, background, n_permutations, rng):
+    """Permutation-sampled phi, the baseline, and phi's standard error.
+
+    Each order's prefixes are coalitions; the distinct ones are predicted
+    once, and the step that adds variable j to order r is that order's
+    contribution of j. The contributions telescope per order, so each order
+    alone meets the efficiency identity.
+    """
+    p = len(x)
+    orders = np.array([rng.permutation(p) for _ in range(n_permutations)])
+    ranks = np.argsort(orders, axis=1)
+    # prefixes[r, k] holds the first k variables of order r, k = 0..p
+    prefixes = ranks[:, None, :] < np.arange(p + 1)[None, :, None]
+    coalitions, index = np.unique(prefixes.reshape(-1, p), axis=0, return_inverse=True)
+    index = index.reshape(n_permutations, p + 1)
+    values = _stacked_means(explainer, background, coalitions, x)
+    contributions = (
+        values[np.take_along_axis(index, ranks + 1, axis=1)]
+        - values[np.take_along_axis(index, ranks, axis=1)]
+    )
+    if n_permutations > 1:
+        standard_error = contributions.std(axis=0, ddof=1) / math.sqrt(n_permutations)
+    else:
+        standard_error = np.full(contributions.shape[1:], np.nan)
+    return contributions.mean(axis=0), values[index[0, 0]].copy(), standard_error
 
 
 def _span_normalized_integral(curves: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -186,6 +197,8 @@ def predict_parts_survshap(
         raise InputError(f"unknown method {method!r}; expected auto, exact, or sampling")
     if method == "auto":
         method = "exact" if p <= EXACT_COALITION_LIMIT else "sampling"
+    if method == "sampling" and n_permutations < 1:
+        raise InputError("n_permutations must be at least 1")
 
     if isinstance(seed, np.random.SeedSequence):
         seed_sequence, seed_out = seed, None
@@ -193,13 +206,13 @@ def predict_parts_survshap(
         seed_sequence, seed_out = np.random.SeedSequence(entropy=seed), seed
 
     background = background_sample(explainer.background.features, n_background)
-    values = _CoalitionValues(explainer, x, background)
-    baseline = values.value(0)
     if method == "exact":
-        phi = _exact_shapley(values, p)
+        phi, baseline, standard_error = _exact_shapley(explainer, x, background)
         n_samples = 1 << p
     else:
-        phi = _sampled_shapley(values, p, n_permutations, np.random.default_rng(seed_sequence))
+        phi, baseline, standard_error = _sampled_shapley(
+            explainer, x, background, n_permutations, np.random.default_rng(seed_sequence)
+        )
         n_samples = n_permutations
     return SurvShapResult(
         instance=x,
@@ -210,6 +223,7 @@ def predict_parts_survshap(
         method=method,
         n_samples=n_samples,
         seed=seed_out,
+        standard_error=standard_error,
     )
 
 

@@ -131,6 +131,14 @@ class TestResultPayloads:
         assert code == 0
         assert (tmp_path / "parts.svg").exists()
 
+    def test_shap_standard_error_only_for_the_sampler(self, corpus_csv, tmp_path):
+        cli("shap", corpus_csv, tmp_path, "--method", "sampling", "--n-permutations", "5")
+        result = load_artifact(tmp_path, "shap")["result"]
+        assert np.shape(result["standard_error"]) == np.shape(result["phi"])
+        assert all(v >= 0.0 for row in result["standard_error"] for v in row)
+        cli("shap", corpus_csv, tmp_path, "--method", "exact")
+        assert load_artifact(tmp_path, "shap")["result"]["standard_error"] is None
+
     def test_survshap_global_ranking(self, corpus_csv, tmp_path):
         cli("survshap-global", corpus_csv, tmp_path, "--max-rows", "4")
         result = load_artifact(tmp_path, "survshap-global")["result"]

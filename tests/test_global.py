@@ -91,6 +91,10 @@ class TestBackgroundSample:
         assert np.array_equal(background_sample(features, 6), features)
         assert np.array_equal(background_sample(features, 100), features)
 
+    def test_empty_sample_rejected(self):
+        with pytest.raises(InputError, match="n_background"):
+            background_sample(np.arange(12.0).reshape(6, 2), 0)
+
     def test_below_cap_sample_is_a_sorted_row_subset(self):
         features = np.arange(20.0).reshape(10, 2)
         sample = background_sample(features, 4)

@@ -6,18 +6,23 @@ import pytest
 
 from survival_explain import (
     CoxModel,
+    Explainer,
     InputError,
     NumericError,
     background_sample,
+    default_time_grid,
     explain,
     fit_cox,
     model_profile,
+    model_profile_2d,
     model_survshap,
     nelson_aalen,
     predict_parts_survlime,
     predict_parts_survshap,
     predict_profile,
 )
+
+from survival_explain.global_explain import _STACK_CELLS
 
 from conftest import make_dataset, simulate_cox
 
@@ -134,6 +139,98 @@ class TestSurvShap:
             predict_parts_survshap(cox_explainer, np.array([1.0, 2.0, 3.0]))
         with pytest.raises(InputError, match="non-finite"):
             predict_parts_survshap(cox_explainer, np.array([1.0, np.nan]))
+
+    def test_bad_permutation_count_rejected(self, cox_data, cox_explainer):
+        with pytest.raises(InputError, match="n_permutations"):
+            predict_parts_survshap(
+                cox_explainer, cox_data.features[0], method="sampling", n_permutations=0
+            )
+
+    @pytest.mark.parametrize("method", ["exact", "sampling"])
+    def test_result_arrays_own_their_memory(self, cox_data, cox_explainer, method):
+        # a view would keep the whole coalition-value matrix alive per result
+        result = predict_parts_survshap(
+            cox_explainer, cox_data.features[0], method=method, n_permutations=5
+        )
+        assert result.baseline.base is None
+        assert result.phi.base is None
+        if method == "sampling":
+            assert result.standard_error.base is None
+
+    def test_sampler_standard_error_matches_a_loop_over_its_orders(self):
+        data = simulate_cox(n=30, beta=[1.0, -0.6, 0.4, -0.3, 0.2], seed=29)
+        explainer = explain(fit_cox(data), data)
+        x = data.features[0]
+        p, n = len(x), 12
+        result = predict_parts_survshap(explainer, x, method="sampling", n_permutations=n, seed=5)
+
+        background = background_sample(data.features, 100)
+
+        def value(subset):
+            batch = background.copy()
+            batch[:, subset] = x[subset]
+            return explainer.predict(batch, "survival").mean(axis=0)
+
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=5))
+        draws = np.zeros((n, p, len(explainer.grid)))
+        for r in range(n):
+            order = rng.permutation(p)
+            for k, j in enumerate(order):
+                draws[r, j] = value(list(order[: k + 1])) - value(list(order[:k]))
+        assert np.max(np.abs(result.phi - draws.mean(axis=0))) < 1e-12
+        expected = draws.std(axis=0, ddof=1) / np.sqrt(n)
+        assert np.max(np.abs(result.standard_error - expected)) < 1e-12
+
+    def test_standard_error_absent_for_exact_and_undefined_for_one_draw(
+        self, cox_data, cox_explainer
+    ):
+        x = cox_data.features[0]
+        assert predict_parts_survshap(cox_explainer, x, method="exact").standard_error is None
+        single = predict_parts_survshap(cox_explainer, x, method="sampling", n_permutations=1)
+        assert single.standard_error.shape == single.phi.shape
+        assert np.all(np.isnan(single.standard_error))
+
+
+class CountingBatchModel:
+    """Batch callable that counts the calls and rows it receives."""
+
+    def __init__(self):
+        self.calls = 0
+        self.rows = 0
+
+    def __call__(self, X, grid):
+        self.calls += 1
+        self.rows += len(X)
+        risk = np.exp(0.3 * X[:, 0] - 0.2 * X[:, 1] + 0.05 * X[:, 2:].sum(axis=1))
+        return np.exp(-np.outer(risk, grid.points) / 10.0)
+
+
+class TestStackedBatches:
+    """The stacked drivers send whole background blocks, many per model call."""
+
+    @pytest.fixture
+    def counted(self):
+        data = simulate_cox(n=100, beta=[0.5, -0.4] + [0.1] * 8, seed=21)
+        model = CountingBatchModel()
+        explainer = Explainer(model, data, default_time_grid(data))
+        model.calls = model.rows = 0
+        blocks_per_call = max(1, _STACK_CELLS // (100 * len(explainer.grid)))
+        return data, explainer, model, 100 * blocks_per_call
+
+    def test_exact_survshap_batches_its_coalitions(self, counted):
+        data, explainer, model, rows_per_call = counted
+        predict_parts_survshap(explainer, data.features[0], method="exact")
+        rows = (1 << 10) * 100
+        assert model.rows == rows
+        assert model.calls <= math.ceil(rows / rows_per_call)
+
+    def test_two_variable_profile_batches_its_grid(self, counted):
+        _, explainer, model, rows_per_call = counted
+        surface = model_profile_2d(explainer, ("x0", "x1"), grid_size=10)
+        assert surface.values.shape[:2] == (10, 10)
+        rows = 10 * 10 * 100
+        assert model.rows == rows
+        assert model.calls <= math.ceil(rows / rows_per_call)
 
 
 class TestSurvLime:

@@ -156,6 +156,11 @@ def model_parts(
     return results
 
 
+def _check_grid_size(grid_size: int) -> None:
+    if grid_size < 1:
+        raise InputError(f"grid size must be at least 1, got {grid_size}")
+
+
 def _quantile_grid(values: np.ndarray, size: int) -> np.ndarray:
     # unique() both dedups repeated quantiles and guarantees strict ordering
     return np.unique(np.quantile(values, np.linspace(0.0, 1.0, size)))
@@ -205,15 +210,17 @@ def model_profile(
     j = explainer.background.column_index(variable)
     column = explainer.background.features[:, j]
     sample = background_sample(explainer.background.features, n_background)
+    if grid_size is None:
+        grid_size = PDP_GRID_SIZE if method == "pdp" else ALE_BINS
+    _check_grid_size(grid_size)
 
     if method == "pdp":
-        grid_values = _quantile_grid(column, PDP_GRID_SIZE if grid_size is None else grid_size)
+        grid_values = _quantile_grid(column, grid_size)
         take = np.arange(sample.shape[1]) == j
         values = _stacked_means(explainer, sample, take, grid_values[:, None], output_type)
         return ProfileSurface((variable,), (grid_values,), explainer.grid, values, "pdp", output_type)
 
-    bins = ALE_BINS if grid_size is None else grid_size
-    edges = _quantile_grid(column, bins + 1)
+    edges = _quantile_grid(column, grid_size + 1)
     if len(edges) < 2:
         raise InputError(
             f"variable {variable!r} is constant; ALE needs at least two distinct bin edges"
@@ -250,6 +257,7 @@ def model_profile_2d(
     output_type = _normalize_output_type(output_type)
     j1 = explainer.background.column_index(first)
     j2 = explainer.background.column_index(second)
+    _check_grid_size(grid_size)
     grid1 = _quantile_grid(explainer.background.features[:, j1], grid_size)
     grid2 = _quantile_grid(explainer.background.features[:, j2], grid_size)
     sample = background_sample(explainer.background.features, n_background)

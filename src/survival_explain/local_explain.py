@@ -25,6 +25,7 @@ from .estimators import nelson_aalen
 from .explainer import SURVIVAL_FLOOR, Explainer, _normalize_output_type
 from .global_explain import (
     PROFILE_BACKGROUND_CAP,
+    _check_grid_size,
     _quantile_grid,
     _stacked_means,
     background_sample,
@@ -322,6 +323,7 @@ def predict_profile(
     j = explainer.background.column_index(variable)
     if grid_values is None:
         column = explainer.background.features[:, j]
+        _check_grid_size(grid_size)
         grid_values = np.unique(np.append(_quantile_grid(column, grid_size), x[j]))
     else:
         grid_values = np.unique(np.asarray(grid_values, dtype=float))

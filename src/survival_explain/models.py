@@ -1,13 +1,14 @@
 """Reference survival models: Cox proportional hazards, Weibull AFT, Kaplan-Meier.
 
-Both fittable models are maximized by Newton-Raphson with step-halving.
-Event-time ties are handled with the Breslow approximation throughout.
+Both fittable models are maximized by Newton-Raphson with step-halving over
+one prepared objective per model; the Cox objective sorts the risk sets once
+per fit. Event-time ties are handled with the Breslow approximation throughout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,87 +56,107 @@ def fit_kaplan_meier(data: SurvivalDataset) -> KaplanMeierModel:
 # Cox partial likelihood (Breslow ties) and its derivatives
 # ---------------------------------------------------------------------------
 
-def _cox_risk_sets(times, events, features):
+def _cox_objective(times, events, features):
+    """Sort the risk sets once; return ``(evaluate, baseline)`` closures.
+
+    ``evaluate(beta)`` is the Breslow partial (log-likelihood, gradient,
+    Hessian), or the log-likelihood alone with ``derivatives=False``. With
+    w = exp(X beta), m_k = S1_k / S0_k and c_i = sum(d_k / S0_k) over event
+    times <= t_i, the Hessian is m^T diag(d) m - X^T diag(w c) X; c is the
+    Breslow cumulative hazard that ``baseline(beta)`` returns.
+    """
     order = np.argsort(times, kind="stable")
     t = times[order]
-    e = events[order]
     X = features[order]
-    event_times, d = np.unique(t[e == 1], return_counts=True)
+    is_event = events[order] == 1
+    event_times, d = np.unique(t[is_event], return_counts=True)
+    d = d.astype(float)
     first = np.searchsorted(t, event_times, side="left")
-    return t, e, X, event_times, d.astype(float), first
+    last = np.searchsorted(event_times, t, side="right")  # event times <= t_i
+    event_sum = X[is_event].sum(axis=0)
+
+    def risk_set_sums(v):
+        # sum of v over the rows at risk at each event time, i.e. from its first row on
+        return np.cumsum(np.add.reduceat(v, first)[::-1], axis=0)[::-1]
+
+    def evaluate(beta, derivatives=True):
+        with np.errstate(over="ignore"):
+            eta = X @ np.asarray(beta, dtype=float)
+            w = np.exp(eta)
+            s0 = risk_set_sums(w)
+            ll = float(eta[is_event].sum() - d @ np.log(s0))
+            if not derivatives:
+                return ll
+            m = risk_set_sums(w[:, None] * X) / s0[:, None]
+            c = np.concatenate(([0.0], np.cumsum(d / s0)))[last]
+            grad = event_sum - d @ m
+            hess = (m.T * d) @ m - (X.T * (w * c)) @ X
+        return ll, grad, hess
+
+    def baseline(beta) -> StepCurve:
+        s0 = risk_set_sums(np.exp(X @ beta))
+        return StepCurve(event_times, np.cumsum(d / s0), kind="chf")
+
+    return evaluate, baseline
 
 
 def cox_partial_loglik(beta, times, events, features) -> float:
     """Breslow partial log-likelihood at ``beta`` (no internal centering)."""
-    beta = np.asarray(beta, dtype=float)
-    t, e, X, _, d, first = _cox_risk_sets(times, events, features)
-    eta = X @ beta
-    with np.errstate(over="ignore"):
-        w = np.exp(eta)
-        s0 = np.cumsum(w[::-1])[::-1]
-        ll = eta[e == 1].sum() - float(d @ np.log(s0[first]))
-    return float(ll)
+    return _cox_objective(times, events, features)[0](beta, derivatives=False)
 
 
 def cox_gradient(beta, times, events, features) -> np.ndarray:
-    beta = np.asarray(beta, dtype=float)
-    t, e, X, _, d, first = _cox_risk_sets(times, events, features)
-    eta = X @ beta
-    with np.errstate(over="ignore"):
-        w = np.exp(eta)
-        s0 = np.cumsum(w[::-1])[::-1]
-        s1 = np.cumsum((w[:, None] * X)[::-1], axis=0)[::-1]
-        grad = X[e == 1].sum(axis=0) - (d[:, None] * s1[first] / s0[first, None]).sum(axis=0)
-    return grad
+    return _cox_objective(times, events, features)[0](beta)[1]
 
 
 def cox_hessian(beta, times, events, features) -> np.ndarray:
-    beta = np.asarray(beta, dtype=float)
-    t, e, X, _, d, first = _cox_risk_sets(times, events, features)
-    eta = X @ beta
-    with np.errstate(over="ignore"):
-        w = np.exp(eta)
-        s0 = np.cumsum(w[::-1])[::-1]
-        s1 = np.cumsum((w[:, None] * X)[::-1], axis=0)[::-1]
-        outer = X[:, :, None] * X[:, None, :]
-        s2 = np.cumsum((w[:, None, None] * outer)[::-1], axis=0)[::-1]
-        m = s1[first] / s0[first, None]
-        hess = -(
-            d[:, None, None]
-            * (s2[first] / s0[first, None, None] - m[:, :, None] * m[:, None, :])
-        ).sum(axis=0)
-    return hess
-
-
-def _breslow_baseline(beta, times, events, features) -> StepCurve:
-    t, e, X, event_times, d, first = _cox_risk_sets(times, events, features)
-    if len(event_times) == 0:
-        return StepCurve(np.array([times.max()]), np.array([0.0]), kind="chf")
-    w = np.exp(X @ beta)
-    s0 = np.cumsum(w[::-1])[::-1]
-    hazard = d / s0[first]
-    return StepCurve(event_times, np.cumsum(hazard), kind="chf")
+    return _cox_objective(times, events, features)[0](beta)[2]
 
 
 # ---------------------------------------------------------------------------
 # Weibull AFT log-likelihood and derivatives
 # ---------------------------------------------------------------------------
 
-def _weibull_parts(params, times, events, features):
-    params = np.asarray(params, dtype=float)
-    a, b, beta = params[0], params[1], params[2:]
-    k = np.exp(a)
-    eta = b + features @ beta
-    u = np.log(times) - eta
-    w = k * u
-    z = np.exp(w)
-    return k, w, z
-
-
 # A trial step can push the log-shape past exp's range. The log-likelihood
 # and its derivatives then come out non-finite, quietly, and the
 # step-halving in _newton_maximize rejects the step.
 _QUIET_OVERFLOW = {"over": "ignore", "invalid": "ignore"}
+
+
+def _weibull_objective(times, events, features):
+    """Return ``evaluate(params, derivatives=True)``, called like the Cox one.
+
+    ``params`` is ``(log_shape, intercept, *coefficients)``; each call works
+    out k, w and z once."""
+    log_t = np.log(times)
+    e = events
+    p = features.shape[1]
+
+    def evaluate(params, derivatives=True):
+        params = np.asarray(params, dtype=float)
+        a, b, beta = params[0], params[1], params[2:]
+        with np.errstate(**_QUIET_OVERFLOW):
+            k = np.exp(a)
+            w = k * (log_t - (b + features @ beta))
+            z = np.exp(w)
+            ll = float((e * (a + w - log_t) - z).sum())
+            if not derivatives:
+                return ll
+            resid = k * (z - e)
+            g_a = (e * (1.0 + w) - z * w).sum()
+            grad = np.concatenate(([g_a, resid.sum()], resid @ features))
+            H = np.empty((p + 2, p + 2))
+            H[0, 0] = (e * w - z * w * (w + 1.0)).sum()
+            cross = k * (z * (w + 1.0) - e)
+            H[0, 1] = H[1, 0] = cross.sum()
+            H[0, 2:] = H[2:, 0] = cross @ features
+            kk_z = (k * k) * z
+            H[1, 1] = -kk_z.sum()
+            H[1, 2:] = H[2:, 1] = -(kk_z @ features)
+            H[2:, 2:] = -(features.T * kk_z) @ features
+        return ll, grad, H
+
+    return evaluate
 
 
 def weibull_aft_loglik(params, times, events, features) -> float:
@@ -144,43 +165,22 @@ def weibull_aft_loglik(params, times, events, features) -> float:
     ``params`` is ``(log_shape, intercept, *coefficients)``: an event at t
     contributes the log density, a censoring contributes log S(t).
     """
-    params = np.asarray(params, dtype=float)
-    with np.errstate(**_QUIET_OVERFLOW):
-        _, w, z = _weibull_parts(params, times, events, features)
-        return float((events * (params[0] + w - np.log(times)) - z).sum())
+    return _weibull_objective(times, events, features)(params, derivatives=False)
 
 
 def weibull_aft_gradient(params, times, events, features) -> np.ndarray:
-    with np.errstate(**_QUIET_OVERFLOW):
-        k, w, z = _weibull_parts(params, times, events, features)
-        e = events
-        g_a = (e * (1.0 + w) - z * w).sum()
-        resid = k * (z - e)
-        return np.concatenate(([g_a, resid.sum()], resid @ features))
+    return _weibull_objective(times, events, features)(params)[1]
 
 
 def weibull_aft_hessian(params, times, events, features) -> np.ndarray:
-    p = features.shape[1]
-    H = np.empty((p + 2, p + 2))
-    with np.errstate(**_QUIET_OVERFLOW):
-        k, w, z = _weibull_parts(params, times, events, features)
-        e = events
-        H[0, 0] = (e * w - z * w * (w + 1.0)).sum()
-        cross = k * (z * (w + 1.0) - e)
-        H[0, 1] = H[1, 0] = cross.sum()
-        H[0, 2:] = H[2:, 0] = cross @ features
-        kk_z = (k * k) * z
-        H[1, 1] = -kk_z.sum()
-        H[1, 2:] = H[2:, 1] = -(kk_z @ features)
-        H[2:, 2:] = -(features.T * kk_z) @ features
-    return H
+    return _weibull_objective(times, events, features)(params)[2]
 
 
 # ---------------------------------------------------------------------------
 # Newton-Raphson driver
 # ---------------------------------------------------------------------------
 
-def _halving_search(theta, ll, loglik, step):
+def _halving_search(theta, ll, objective, step):
     """Halve ``step`` until the log-likelihood stops decreasing.
 
     Returns (candidate, candidate_ll, accepted_step) or None when no scale
@@ -188,37 +188,38 @@ def _halving_search(theta, ll, loglik, step):
     """
     for _ in range(_MAX_HALVINGS + 1):
         candidate = theta + step
-        cand_ll = loglik(candidate)
+        cand_ll = objective(candidate, derivatives=False)
         if np.isfinite(cand_ll) and cand_ll >= ll - 1e-10 * (1.0 + abs(ll)):
             return candidate, cand_ll, step
         step = step / 2.0
     return None
 
 
-def _newton_maximize(theta, loglik, gradient, hessian, max_iter, tol, guard_slice):
+def _newton_maximize(theta, objective, max_iter, tol, guard_slice):
     """Maximize by damped Newton steps.
 
-    Returns (theta, converged). ``guard_slice`` selects the entries checked
-    against the divergence bound. An indefinite Hessian can turn the Newton
+    ``objective(theta)`` returns (log-likelihood, gradient, Hessian), and
+    step-halving trials ask it for the log-likelihood alone. Returns (theta,
+    converged). ``guard_slice`` selects the entries checked against the
+    divergence bound. An indefinite Hessian can turn the Newton
     step into a descent direction; when step-halving fails, the step is
     recomputed with an escalating Levenberg shift, which bends it toward
     plain gradient ascent. Raises FitError only when no damping level
     recovers a finite, non-decreasing log-likelihood.
     """
-    ll = loglik(theta)
+    ll = objective(theta, derivatives=False)
     if not np.isfinite(ll):
         raise FitError("log-likelihood not finite at the starting point")
     eye = np.eye(len(theta))
     for _ in range(max_iter):
-        g = gradient(theta)
+        _, g, H = objective(theta)
         if np.max(np.abs(g), initial=0.0) < tol:
             return theta, True
-        H = hessian(theta)
         try:
             step = np.linalg.solve(-H, g)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(-H, g, rcond=None)[0]
-        found = _halving_search(theta, ll, loglik, step)
+        found = _halving_search(theta, ll, objective, step)
         damped = False
         if found is None:
             damped = True
@@ -229,7 +230,7 @@ def _newton_maximize(theta, loglik, gradient, hessian, max_iter, tol, guard_slic
                     step = np.linalg.solve(-H + shift * eye, g)
                 except np.linalg.LinAlgError:
                     step = g / shift
-                found = _halving_search(theta, ll, loglik, step)
+                found = _halving_search(theta, ll, objective, step)
                 shift *= 10.0
         if found is None:
             raise FitError(
@@ -260,22 +261,16 @@ def fit_cox(data: SurvivalDataset, max_iter: int = 50, tol: float = 1e-9) -> Cox
     centered = data.features - means
     active = ~np.all(centered == 0.0, axis=0)
     X = centered[:, active]
-    t, e = data.times, data.events
-
+    objective, baseline = _cox_objective(data.times, data.events, X)
     theta, converged = _newton_maximize(
-        np.zeros(X.shape[1]),
-        lambda b: cox_partial_loglik(b, t, e, X),
-        lambda b: cox_gradient(b, t, e, X),
-        lambda b: cox_hessian(b, t, e, X),
-        max_iter,
-        tol,
-        guard_slice=slice(None),
+        np.zeros(X.shape[1]), objective, max_iter, tol, guard_slice=slice(None)
     )
 
     beta = np.zeros(data.n_features)
     beta[active] = theta
-    baseline = _breslow_baseline(beta, t, e, centered)
-    return CoxModel(beta=beta, baseline_chf=baseline, feature_means=means, converged=converged)
+    return CoxModel(
+        beta=beta, baseline_chf=baseline(theta), feature_means=means, converged=converged
+    )
 
 
 def fit_weibull_aft(data: SurvivalDataset, max_iter: int = 50, tol: float = 1e-9) -> WeibullAftModel:
@@ -300,13 +295,7 @@ def fit_weibull_aft(data: SurvivalDataset, max_iter: int = 50, tol: float = 1e-9
 
     start = np.concatenate(([0.0, math.log(t.mean())], np.zeros(X.shape[1])))
     theta, converged = _newton_maximize(
-        start,
-        lambda p: weibull_aft_loglik(p, t, e, X),
-        lambda p: weibull_aft_gradient(p, t, e, X),
-        lambda p: weibull_aft_hessian(p, t, e, X),
-        max_iter,
-        tol,
-        guard_slice=slice(2, None),
+        start, _weibull_objective(t, e, X), max_iter, tol, guard_slice=slice(2, None)
     )
 
     coef = np.zeros(data.n_features)
@@ -325,7 +314,9 @@ def fit_weibull_aft(data: SurvivalDataset, max_iter: int = 50, tol: float = 1e-9
 def predict_survival_matrix(model, X: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Survival probabilities for every row of ``X`` at every grid point.
 
-    Returns an (n, len(grid)) array clamped to [0, 1].
+    Returns an (n, len(grid)) array in [0, 1]: the Cox and Weibull forms
+    are exp of a non-positive number, so only the Kaplan-Meier curve, which
+    a user may build slightly outside [0, 1], is clipped.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -342,7 +333,7 @@ def predict_survival_matrix(model, X: np.ndarray, grid: TimeGrid) -> np.ndarray:
         # bit-identical regardless of how the rows are batched
         relative_risk = np.exp(((X - model.feature_means) * model.beta).sum(axis=1))
         h0 = model.baseline_chf.evaluate(grid.points)
-        return np.clip(np.exp(-np.outer(relative_risk, h0)), 0.0, 1.0)
+        return np.exp(np.outer(-relative_risk, h0))
     if isinstance(model, WeibullAftModel):
         if X.shape[1] != len(model.coefficients):
             raise InputError(
@@ -350,7 +341,7 @@ def predict_survival_matrix(model, X: np.ndarray, grid: TimeGrid) -> np.ndarray:
             )
         lam = np.exp(model.intercept + (X * model.coefficients).sum(axis=1))
         scaled = grid.points[None, :] / lam[:, None]
-        return np.clip(np.exp(-(scaled ** model.shape)), 0.0, 1.0)
+        return np.exp(-(scaled ** model.shape))
     raise InputError(f"unsupported model type {type(model).__name__}")
 
 

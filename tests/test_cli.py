@@ -184,6 +184,25 @@ class TestErrorExits:
         assert code == 2
         assert "plottable commands" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid_size", ["-1", "0"])
+    @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("profile", ("--variable", "x0")),
+            ("profile", ("--variable", "x0", "--method", "ale")),
+            ("profile2d", ("--variables", "x0", "x1")),
+            ("ice", ("--row", "0", "--variable", "x0")),
+        ],
+        ids=["pdp", "ale", "profile2d", "ice"],
+    )
+    def test_grid_size_below_one_exits_2(
+        self, command, extra, grid_size, corpus_csv, tmp_path, capsys
+    ):
+        assert cli(command, corpus_csv, tmp_path, *extra, "--grid-size", grid_size) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: grid size must be at least 1, got {grid_size}\n"
+        assert not (tmp_path / f"{command}.json").exists()
+
     def test_cox_without_events_exits_3(self, tmp_path, capsys):
         censored = tmp_path / "censored.csv"
         censored.write_text("time,event,x\n1,0,0.1\n2,0,0.3\n3,0,0.5\n")

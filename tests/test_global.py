@@ -12,6 +12,7 @@ from survival_explain import (
     model_parts,
     model_profile,
     model_profile_2d,
+    predict_profile,
 )
 
 from conftest import make_dataset, simulate_cox
@@ -166,6 +167,20 @@ class TestModelProfile:
         assert np.array_equal(ale.grid_values[0], pdp.grid_values[0])
         recentered = pdp.values - pdp.values.mean(axis=0)
         assert np.max(np.abs(ale.values - recentered)) < 1e-6
+
+
+@pytest.mark.parametrize("grid_size", [-1, 0])
+def test_profiles_reject_grid_size_below_one(cox_explainer, grid_size):
+    x = cox_explainer.background.features[0]
+    calls = [
+        lambda: model_profile(cox_explainer, "x0", grid_size=grid_size),
+        lambda: model_profile(cox_explainer, "x0", method="ale", grid_size=grid_size),
+        lambda: model_profile_2d(cox_explainer, ("x0", "x1"), grid_size=grid_size),
+        lambda: predict_profile(cox_explainer, x, "x0", grid_size=grid_size),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match=f"grid size must be at least 1, got {grid_size}"):
+            call()
 
 
 class TestModelProfile2d:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -95,6 +96,93 @@ class TestCoxDerivatives:
             numeric = finite_difference_hessian(fn, beta, h=1e-3)
             scale = max(1.0, np.abs(analytic).max())
             assert np.abs(analytic - numeric).max() / scale < 1e-5
+
+
+def loop_breslow_derivatives(beta, times, events, features):
+    """Breslow gradient and Hessian summed one distinct event time at a time."""
+    p = features.shape[1]
+    grad = np.zeros(p)
+    hess = np.zeros((p, p))
+    for tau in np.unique(times[events == 1]):
+        at_risk = [j for j in range(len(times)) if times[j] >= tau]
+        failing = [i for i in range(len(times)) if times[i] == tau and events[i] == 1]
+        s0, s1, s2 = 0.0, np.zeros(p), np.zeros((p, p))
+        for j in at_risk:
+            w = np.exp(features[j] @ beta)
+            s0 += w
+            s1 += w * features[j]
+            s2 += w * np.outer(features[j], features[j])
+        mean = s1 / s0
+        for i in failing:
+            grad += features[i] - mean
+            hess -= s2 / s0 - np.outer(mean, mean)
+    return grad, hess
+
+
+def loop_breslow_baseline(beta, times, events, features):
+    """Breslow cumulative baseline hazard at each distinct event time."""
+    chf, total = [], 0.0
+    for tau in np.unique(times[events == 1]):
+        deaths = sum(1 for i in range(len(times)) if times[i] == tau and events[i] == 1)
+        denominator = sum(np.exp(features[j] @ beta) for j in range(len(times)) if times[j] >= tau)
+        total += deaths / denominator
+        chf.append(total)
+    return np.array(chf)
+
+
+class TestCoxTiedTimes:
+    @pytest.fixture
+    def tied(self):
+        # whole-unit times: events tie with events and with censorings
+        data = simulate_cox(n=60, beta=[0.8, -0.5, 0.3], seed=4)
+        return make_dataset(np.ceil(data.times), data.events, data.features)
+
+    def test_data_has_event_and_censoring_ties(self, tied):
+        event_times = tied.times[tied.events == 1]
+        assert len(np.unique(event_times)) < len(event_times)
+        assert np.isin(tied.times[tied.events == 0], event_times).any()
+
+    def test_derivatives_match_loop_and_finite_differences(self, tied):
+        t, e, X = tied.times, tied.events, tied.features
+        fn = lambda b: cox_partial_loglik(b, t, e, X)
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            beta = rng.normal(scale=0.5, size=3)
+            grad, hess = cox_gradient(beta, t, e, X), cox_hessian(beta, t, e, X)
+            loop_grad, loop_hess = loop_breslow_derivatives(beta, t, e, X)
+            np.testing.assert_allclose(grad, loop_grad, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(hess, loop_hess, rtol=1e-10, atol=1e-10)
+            numeric = finite_difference_hessian(fn, beta, h=1e-3)
+            assert np.abs(hess - numeric).max() / max(1.0, np.abs(hess).max()) < 1e-5
+            assert np.abs(grad - finite_difference_gradient(fn, beta, h=1e-5)).max() < 1e-5
+
+    def test_baseline_chf_matches_loop_breslow(self, tied):
+        fitted = fit_cox(tied)
+        centered = tied.features - fitted.feature_means
+        oracle = loop_breslow_baseline(fitted.beta, tied.times, tied.events, centered)
+        np.testing.assert_array_equal(
+            fitted.baseline_chf.times, np.unique(tied.times[tied.events == 1])
+        )
+        np.testing.assert_allclose(fitted.baseline_chf.values, oracle, rtol=1e-12)
+
+
+class TestCoxFitMemory:
+    def test_twenty_thousand_rows_fit_without_a_per_row_hessian(self):
+        # an (n, p, p) Hessian temporary alone would take 16 MB at this size
+        n, p = 20_000, 10
+        rng = np.random.default_rng(0)
+        features = rng.normal(size=(n, p))
+        times = np.ceil(rng.exponential(30.0 * np.exp(-0.2 * features[:, 0])))
+        events = (rng.random(n) < 0.7).astype(int)
+        data = make_dataset(times, events, features)
+        tracemalloc.start()
+        try:
+            fitted = fit_cox(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert fitted.converged
 
 
 class TestFitCox:

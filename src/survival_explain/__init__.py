@@ -13,7 +13,7 @@ from .artifacts import TOOL_VERSION
 from .data import StepCurve, SurvivalDataset, TimeGrid
 from .errors import FitError, InputError, NumericError
 from .estimators import censoring_km, kaplan_meier, nelson_aalen
-from .explainer import Explainer, OutputType, default_time_grid, explain
+from .explainer import Explainer, default_time_grid, explain
 from .global_explain import (
     ProfileSurface,
     ResidualSet,
@@ -67,7 +67,6 @@ __all__ = [
     "KaplanMeierModel",
     "MetricCurve",
     "NumericError",
-    "OutputType",
     "ProfileSurface",
     "ResidualSet",
     "RocCurve",

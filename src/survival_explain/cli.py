@@ -18,7 +18,7 @@ import numpy as np
 
 from .artifacts import TOOL_VERSION, build_envelope, jsonify, read_artifact, write_artifact
 from .errors import InputError, NumericError
-from .explainer import default_time_grid, explain
+from .explainer import OUTPUT_TYPES, default_time_grid, explain
 from .global_explain import model_diagnostics, model_parts, model_profile, model_profile_2d
 from .ingest import ingest_csv
 from .local_explain import (
@@ -42,7 +42,6 @@ PLOTTABLE = (
     "fit, predict (survival/chf), performance, parts (with --loss brier_curve), "
     "profile, ice, shap, survshap-global"
 )
-OUTPUT_TYPES = ("survival", "chf", "risk")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,14 +135,24 @@ def _check_row(row, data):
     return row
 
 
-def _time_slice_curves(grid, grid_values, values, y_label):
-    """Series per representative grid time: first, middle, last."""
+def _time_curves(explainer, labels, ys, y_label):
+    """One series over the time grid per label, and the axis labels."""
+    curves = [{"label": label, "x": explainer.grid.points, "y": y} for label, y in zip(labels, ys)]
+    return curves, {"x_label": "time", "y_label": y_label}
+
+
+def _profile_curves(grid, grid_values, values, output_type, label):
+    """A risk profile as one series; otherwise one series per representative
+    grid time (first, middle, last). Returns the series and axis labels."""
+    if output_type == "risk":
+        series = [{"label": label, "x": grid_values, "y": values}]
+        return series, {"x_label": "variable value", "y_label": "risk"}
     picks = sorted({0, len(grid) // 2, len(grid) - 1})
     series = [
         {"label": f"t={grid.points[k]:g}", "x": grid_values, "y": values[:, k]}
         for k in picks
     ]
-    return series, {"x_label": "variable value", "y_label": y_label}
+    return series, {"x_label": "variable value", "y_label": output_type}
 
 
 def _fit_payload(model, data):
@@ -179,7 +188,7 @@ def _fit_payload(model, data):
             meta = {"x_label": "time", "y_label": "survival probability"}
     result = {"model": type(model).__name__, "converged": getattr(model, "converged", True),
               "parameters": parameters}
-    return result, None, curves, meta
+    return result, curves, meta
 
 
 def _handle_predict(args, explainer, data):
@@ -187,9 +196,8 @@ def _handle_predict(args, explainer, data):
     values = explainer.predict(data.features[row], args.output_type)
     result = {"row": row, "output_type": args.output_type, "values": values}
     if args.output_type == "risk":
-        return result, explainer.grid.points, None, None
-    curves = [{"label": args.output_type, "x": explainer.grid.points, "y": values}]
-    return result, explainer.grid.points, curves, {"x_label": "time", "y_label": args.output_type}
+        return result, None, None
+    return result, *_time_curves(explainer, [args.output_type], [values], args.output_type)
 
 
 def _handle_performance(args, explainer, data):
@@ -210,11 +218,8 @@ def _handle_performance(args, explainer, data):
             "thresholds": roc.thresholds,
             "auc": roc.trapezoid_auc(),
         }
-    curves = [
-        {"label": "Brier score", "x": explainer.grid.points, "y": brier.values},
-        {"label": "cumulative/dynamic AUC", "x": explainer.grid.points, "y": auc.values},
-    ]
-    return result, explainer.grid.points, curves, {"x_label": "time", "y_label": "metric value"}
+    labels = ["Brier score", "cumulative/dynamic AUC"]
+    return result, *_time_curves(explainer, labels, [brier.values, auc.values], "metric value")
 
 
 def _handle_parts(args, explainer, data):
@@ -247,12 +252,10 @@ def _handle_parts(args, explainer, data):
         "variables": entries,
     }
     if args.loss != "brier_curve":
-        return result, explainer.grid.points, None, None
-    curves = [
-        {"label": item.variable, "x": explainer.grid.points, "y": item.importance}
-        for item in importances
-    ]
-    return result, explainer.grid.points, curves, {"x_label": "time", "y_label": "loss increase"}
+        return result, None, None
+    labels = [item.variable for item in importances]
+    increases = [item.importance for item in importances]
+    return result, *_time_curves(explainer, labels, increases, "loss increase")
 
 
 def _handle_profile(args, explainer, data):
@@ -272,14 +275,9 @@ def _handle_profile(args, explainer, data):
         "values": surface.values,
     }
     label = f"{surface.method} of {args.variable}"
-    if args.output_type == "risk":
-        curves = [{"label": label, "x": surface.grid_values[0], "y": surface.values}]
-        meta = {"x_label": "variable value", "y_label": "risk"}
-    else:
-        curves, meta = _time_slice_curves(
-            explainer.grid, surface.grid_values[0], surface.values, args.output_type
-        )
-    return result, explainer.grid.points, curves, meta
+    return result, *_profile_curves(
+        explainer.grid, surface.grid_values[0], surface.values, args.output_type, label
+    )
 
 
 def _handle_profile2d(args, explainer, data):
@@ -296,7 +294,7 @@ def _handle_profile2d(args, explainer, data):
         "grid_values": list(surface.grid_values),
         "values": surface.values,
     }
-    return result, explainer.grid.points, None, None
+    return result, None, None
 
 
 def _handle_diagnostics(args, explainer, data):
@@ -309,7 +307,7 @@ def _handle_diagnostics(args, explainer, data):
         "times": residuals.observed_times,
         "events": residuals.events,
     }
-    return result, explainer.grid.points, None, None
+    return result, None, None
 
 
 def _handle_shap(args, explainer, data):
@@ -333,11 +331,7 @@ def _handle_shap(args, explainer, data):
         "seed": shap.seed,
         "standard_error": shap.standard_error,
     }
-    curves = [
-        {"label": name, "x": explainer.grid.points, "y": shap.phi[j]}
-        for j, name in enumerate(data.feature_names)
-    ]
-    return result, explainer.grid.points, curves, {"x_label": "time", "y_label": "attribution"}
+    return result, *_time_curves(explainer, data.feature_names, shap.phi, "attribution")
 
 
 def _handle_lime(args, explainer, data):
@@ -354,7 +348,7 @@ def _handle_lime(args, explainer, data):
         "degenerate": lime.degenerate,
         "neighborhood_size": lime.neighborhood_size,
     }
-    return result, explainer.grid.points, None, None
+    return result, None, None
 
 
 def _handle_ice(args, explainer, data):
@@ -374,14 +368,10 @@ def _handle_ice(args, explainer, data):
         "grid_values": profile.grid_values,
         "curves": profile.curves,
     }
-    if args.output_type == "risk":
-        curves = [{"label": f"ice of {args.variable}", "x": profile.grid_values, "y": profile.curves}]
-        meta = {"x_label": "variable value", "y_label": "risk"}
-    else:
-        curves, meta = _time_slice_curves(
-            explainer.grid, profile.grid_values, profile.curves, args.output_type
-        )
-    return result, explainer.grid.points, curves, meta
+    label = f"ice of {args.variable}"
+    return result, *_profile_curves(
+        explainer.grid, profile.grid_values, profile.curves, args.output_type, label
+    )
 
 
 def _handle_survshap_global(args, explainer, data):
@@ -404,11 +394,8 @@ def _handle_survshap_global(args, explainer, data):
         "beeswarm": aggregate.beeswarm_data,
         "seed": args.seed,
     }
-    curves = [
-        {"label": name, "x": explainer.grid.points, "y": aggregate.mean_abs_phi[j]}
-        for j, name in enumerate(data.feature_names)
-    ]
-    return result, explainer.grid.points, curves, {"x_label": "time", "y_label": "mean |attribution|"}
+    mean_abs_phi = aggregate.mean_abs_phi
+    return result, *_time_curves(explainer, data.feature_names, mean_abs_phi, "mean |attribution|")
 
 
 _HANDLERS = {
@@ -429,21 +416,17 @@ def _config_echo(args) -> dict:
     return {key: value for key, value in vars(args).items() if key != "command"}
 
 
-def _run_plot(args, out_dir: Path) -> None:
-    envelope = read_artifact(args.artifact)
-    curves = envelope.get("curves")
-    if not curves:
-        raise InputError(
-            f"artifact {args.artifact} has no curve data; plottable commands: {PLOTTABLE}"
-        )
+def _write_svg(envelope: dict, target: Path, source: str) -> None:
+    """Render an envelope's curves to ``target``; ``source`` opens the error when it has none."""
+    if not envelope.get("curves"):
+        raise InputError(f"{source} no curve data; plottable commands: {PLOTTABLE}")
     meta = envelope.get("plot") or {}
     document = render_line_chart(
-        curves,
+        envelope["curves"],
         title=envelope.get("command", ""),
         x_label=meta.get("x_label", "time"),
         y_label=meta.get("y_label", "value"),
     )
-    target = out_dir / (Path(args.artifact).stem + ".svg")
     target.write_text(document, encoding="utf-8")
 
 
@@ -451,34 +434,26 @@ def run(args) -> None:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.command == "plot":
-        _run_plot(args, out_dir)
+        target = out_dir / (Path(args.artifact).stem + ".svg")
+        _write_svg(read_artifact(args.artifact), target, f"artifact {args.artifact} has")
         return
 
     data = ingest_csv(args.data, args.time_col, args.event_col)
     model = _fit_model(args.model, data)
     if args.command == "fit":
-        result, grid, curves, meta = _fit_payload(model, data)
+        grid = None
+        result, curves, meta = _fit_payload(model, data)
     else:
         explainer = explain(model, data)
-        result, grid, curves, meta = _HANDLERS[args.command](args, explainer, data)
+        grid = explainer.grid.points
+        result, curves, meta = _HANDLERS[args.command](args, explainer, data)
 
     envelope = build_envelope(args.command, _config_echo(args), result, grid=grid, curves=curves)
     if curves is not None and meta is not None:
         envelope["plot"] = jsonify(meta)
     write_artifact(out_dir / f"{args.command}.json", envelope)
-
     if args.svg:
-        if not envelope.get("curves"):
-            raise InputError(
-                f"command {args.command!r} produced no curve data; plottable commands: {PLOTTABLE}"
-            )
-        document = render_line_chart(
-            envelope["curves"],
-            title=args.command,
-            x_label=(meta or {}).get("x_label", "time"),
-            y_label=(meta or {}).get("y_label", "value"),
-        )
-        (out_dir / f"{args.command}.svg").write_text(document, encoding="utf-8")
+        _write_svg(envelope, out_dir / f"{args.command}.svg", f"command {args.command!r} produced")
 
 
 def main(argv=None) -> int:

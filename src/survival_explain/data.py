@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import InputError
 
-CURVE_KINDS = ("survival", "chf", "generic")
+CURVE_KINDS = ("survival", "chf")
 
 # Slack for floating-point noise when validating curve shape constraints.
 _SHAPE_TOL = 1e-9
@@ -132,15 +132,13 @@ class StepCurve:
       the first jump time.
     * ``chf`` -- values >= 0, nondecreasing; evaluates to 0 before the first
       jump time.
-    * ``generic`` -- unconstrained; evaluates to the first value before the
-      first jump time.
 
     Beyond the last jump time the curve keeps its last value.
     """
 
     times: np.ndarray
     values: np.ndarray
-    kind: str = "generic"
+    kind: str
 
     def __post_init__(self):
         self.times = _float_array(self.times, "curve times", 1)
@@ -171,11 +169,7 @@ class StepCurve:
                 raise InputError("chf curve must be nondecreasing")
 
     def _left_default(self) -> float:
-        if self.kind == "survival":
-            return 1.0
-        if self.kind == "chf":
-            return 0.0
-        return float(self.values[0])
+        return 1.0 if self.kind == "survival" else 0.0
 
     def evaluate(self, t):
         """Right-continuous step evaluation at scalar or array ``t``."""

@@ -10,7 +10,6 @@ functional preserves risk ordering).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -25,31 +24,28 @@ SURVIVAL_FLOOR = 1e-18
 GRID_CAP = 51
 
 
-class OutputType(str, Enum):
-    SURVIVAL = "survival"
-    CHF = "chf"
-    RISK = "risk"
+#: The prediction formats :meth:`Explainer.predict` and the explanations accept.
+OUTPUT_TYPES = ("survival", "chf", "risk")
 
 
-def _normalize_output_type(output_type) -> OutputType:
-    try:
-        return OutputType(output_type)
-    except ValueError:
-        valid = ", ".join(o.value for o in OutputType)
-        raise InputError(f"unknown output type {output_type!r}; expected one of: {valid}") from None
+def _normalize_output_type(output_type) -> str:
+    if output_type not in OUTPUT_TYPES:
+        valid = ", ".join(OUTPUT_TYPES)
+        raise InputError(f"unknown output type {output_type!r}; expected one of: {valid}")
+    return output_type
 
 
-def default_time_grid(background: SurvivalDataset, max_points: int = GRID_CAP) -> TimeGrid:
+def default_time_grid(background: SurvivalDataset) -> TimeGrid:
     """Evaluation grid derived from the background's observed event times.
 
-    Uses the unique positive event times directly; above ``max_points`` of
+    Uses the unique positive event times directly; above ``GRID_CAP`` of
     them, falls back to that many empirical quantiles of the event times
     (deduplicated, so the result stays strictly increasing).
     """
     event_times = background.times[(background.events == 1) & (background.times > 0)]
     unique = np.unique(event_times)
-    if len(unique) > max_points:
-        unique = np.unique(np.quantile(event_times, np.linspace(0.0, 1.0, max_points)))
+    if len(unique) > GRID_CAP:
+        unique = np.unique(np.quantile(event_times, np.linspace(0.0, 1.0, GRID_CAP)))
     if len(unique) < 2:
         raise InputError(
             "background yields fewer than two distinct positive event times; "
@@ -178,11 +174,11 @@ class Explainer:
         if not np.all(np.isfinite(X)):
             raise InputError("feature matrix contains non-finite values")
         S = self.survival_matrix(X, times)
-        if output is OutputType.SURVIVAL:
+        if output == "survival":
             result = S
         else:
             chf = -np.log(np.clip(S, SURVIVAL_FLOOR, 1.0))
-            result = chf if output is OutputType.CHF else chf.sum(axis=1)
+            result = chf if output == "chf" else chf.sum(axis=1)
         return result[0] if single else result
 
 

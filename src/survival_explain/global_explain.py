@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import SurvivalDataset, TimeGrid
 from .errors import InputError
-from .explainer import Explainer, OutputType, _normalize_output_type
+from .explainer import Explainer, _normalize_output_type
 from .metrics import loss_adapter
 
 # Profile background subsampling uses its own fixed seed: the sample is part
@@ -166,7 +166,7 @@ def _quantile_grid(values: np.ndarray, size: int) -> np.ndarray:
     return np.unique(np.quantile(values, np.linspace(0.0, 1.0, size)))
 
 
-def _stacked_means(explainer, sample, take, values, output_type=OutputType.SURVIVAL):
+def _stacked_means(explainer, sample, take, values, output_type="survival"):
     """Mean prediction over ``sample`` for each block of a stacked batch.
 
     Block b is ``sample`` with the columns where ``take[b]`` is set replaced
@@ -178,7 +178,7 @@ def _stacked_means(explainer, sample, take, values, output_type=OutputType.SURVI
     take, values = np.broadcast_arrays(np.asarray(take, dtype=bool), values)
     m, p = sample.shape
     per_call = max(1, _STACK_CELLS // (m * len(explainer.grid)))
-    time_shape = () if output_type is OutputType.RISK else (len(explainer.grid),)
+    time_shape = () if output_type == "risk" else (len(explainer.grid),)
     means = np.empty((len(take),) + time_shape)
     for start in range(0, len(take), per_call):
         stop = min(start + per_call, len(take))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -10,13 +11,31 @@ from .data import SurvivalDataset
 from .errors import InputError
 
 
+def _reject_cell(row, row_number: int, header, time_idx: int) -> None:
+    """Raise ``InputError`` naming the row and column of the row's first bad cell."""
+    for k, cell in enumerate(row):
+        try:
+            value = float(cell)
+        except ValueError:
+            problem = "non-numeric value"
+        else:
+            if not math.isfinite(value):
+                problem = "non-finite value"
+            elif k == time_idx and value < 0:
+                problem = "negative time"
+            else:
+                continue
+        raise InputError(f"{problem} {cell!r} (row {row_number}, column {header[k]!r})")
+
+
 def ingest_csv(path, time_column: str, event_column: str) -> SurvivalDataset:
     """Read a survival dataset from a UTF-8 CSV file with a header row.
 
     Every column other than the named time and event columns becomes a
     numeric feature, in header order. Rows are 1-based in error messages
-    (the header row is row 0). Missing or non-numeric cells are rejected,
-    never imputed.
+    (the header row is row 0). Missing, non-numeric and non-finite cells
+    and negative times are rejected, never imputed, with the row and column
+    of the first such cell.
     """
     if time_column == event_column:
         raise InputError("time column and event column must differ")
@@ -45,14 +64,12 @@ def ingest_csv(path, time_column: str, event_column: str) -> SurvivalDataset:
                 raise InputError(
                     f"row {row_number} has {len(row)} cells, header has {len(header)}"
                 )
-            parsed = []
-            for k, cell in enumerate(row):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise InputError(
-                        f"non-numeric value {cell!r} (row {row_number}, column {header[k]!r})"
-                    ) from None
+            try:
+                parsed = list(map(float, row))
+            except ValueError:
+                parsed = None
+            if parsed is None or not all(map(math.isfinite, parsed)) or parsed[time_idx] < 0:
+                _reject_cell(row, row_number, header, time_idx)
             if parsed[event_idx] not in (0.0, 1.0):
                 raise InputError(f"event column must be 0/1 (row {row_number})")
             times.append(parsed[time_idx])

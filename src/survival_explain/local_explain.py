@@ -165,6 +165,19 @@ def _sampled_shapley(explainer, x, background, n_permutations, rng):
     return contributions.mean(axis=0), values[index[0, 0]].copy(), standard_error
 
 
+def _check_instance(explainer, x) -> np.ndarray:
+    """``x`` as floats; ``InputError`` unless finite, 1-D, one entry per feature."""
+    x = np.asarray(x, dtype=float)
+    p = explainer.background.n_features
+    if x.shape != (p,) or p == 0:
+        raise InputError(
+            f"instance must be a nonempty 1-D vector of {p} features, got shape {x.shape}"
+        )
+    if not np.all(np.isfinite(x)):
+        raise InputError("instance contains non-finite values")
+    return x
+
+
 def _span_normalized_integral(curves: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return np.trapezoid(curves, grid.points, axis=-1) / grid.span
 
@@ -184,16 +197,8 @@ def predict_parts_survshap(
     capped by a fixed-seed subsample so that ``seed`` only moves the
     Monte-Carlo sampling, never the value function being estimated.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or len(x) == 0:
-        raise InputError("instance must be a nonempty 1-D feature vector")
-    if not np.all(np.isfinite(x)):
-        raise InputError("instance contains non-finite values")
+    x = _check_instance(explainer, x)
     p = len(x)
-    if p != explainer.background.n_features:
-        raise InputError(
-            f"instance has {p} features, background has {explainer.background.n_features}"
-        )
     if method not in ("auto", "exact", "sampling"):
         raise InputError(f"unknown method {method!r}; expected auto, exact, or sampling")
     if method == "auto":
@@ -239,11 +244,7 @@ def predict_parts_survlime(
     the Nelson-Aalen baseline, which for a proportional-hazards black box is
     exactly linear in the features.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or len(x) != explainer.background.n_features:
-        raise InputError(
-            f"instance must be a 1-D vector of {explainer.background.n_features} features"
-        )
+    x = _check_instance(explainer, x)
     if n_neighbors < 2:
         raise InputError("n_neighbors must be at least 2")
     features = explainer.background.features
@@ -252,9 +253,12 @@ def predict_parts_survlime(
     # zero-variance features get scale 0 and stay pinned at the instance value
     neighbors = x[None, :] + rng.standard_normal((n_neighbors, len(x))) * scale[None, :]
 
-    gaps = neighbors[:, None, :] - neighbors[None, :, :]
-    pairwise = np.sqrt((gaps**2).sum(axis=-1))
-    sigma = pairwise[np.triu_indices(n_neighbors, k=1)].mean()
+    # mean distance over the pairs i < j, one row at a time: O(m^2) floats, not (m, m, p)
+    pairwise = [
+        np.sqrt(((neighbors[i] - neighbors[i + 1 :]) ** 2).sum(axis=1))
+        for i in range(n_neighbors - 1)
+    ]
+    sigma = np.concatenate(pairwise).mean()
     if sigma == 0.0:
         raise NumericError("SurvLIME neighborhood collapsed: zero kernel width")
     offsets = ((neighbors - x[None, :]) ** 2).sum(axis=1)
@@ -314,11 +318,7 @@ def predict_profile(
     explicit grid instead (sorted and deduplicated, no insertion), e.g. to
     average ICE curves against a PDP on the identical grid.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or len(x) != explainer.background.n_features:
-        raise InputError(
-            f"instance must be a 1-D vector of {explainer.background.n_features} features"
-        )
+    x = _check_instance(explainer, x)
     output_type = _normalize_output_type(output_type)
     j = explainer.background.column_index(variable)
     if grid_values is None:

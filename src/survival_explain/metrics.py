@@ -278,44 +278,32 @@ def roc_at_time(explainer: Explainer, data: SurvivalDataset, t: float) -> RocCur
     )
 
 
-def loss_adapter(metric_name: str, direction: str = "auto"):
+def loss_adapter(metric_name: str):
     """Build a ``loss(explainer, data)`` callable oriented so larger = worse.
 
-    ``direction`` describes the raw metric: ``"loss"`` keeps it as-is,
-    ``"score"`` complements it (1 - value) so that discrimination measures
-    become losses, and ``"auto"`` picks the natural orientation per name.
-    ``brier_curve`` yields a value per grid point; the others are scalars.
+    cd-AUC is a score and enters as 1 - AUC; the Brier score and 1 - C are
+    losses already and are used as they are. ``brier_curve`` yields a value
+    per grid point; the others are scalars.
     """
     if metric_name not in LOSS_NAMES:
         raise InputError(
             f"unknown loss {metric_name!r}; valid names: {', '.join(LOSS_NAMES)}"
         )
-    if direction not in ("auto", "loss", "score"):
-        raise InputError(f"unknown direction {direction!r}; expected auto, loss, or score")
-    if direction == "auto":
-        direction = "score" if metric_name == "cd_auc_integrated" else "loss"
 
-    def oriented(value):
-        return value if direction == "loss" else 1.0 - value
-
-    if metric_name == "brier_integrated":
-        def loss(explainer, data):
+    def loss(explainer, data):
+        if metric_name == "brier_curve":
+            return brier_score(explainer, data).values
+        if metric_name == "one_minus_cindex":
+            return 1.0 - concordance_index(explainer, data)
+        if metric_name == "brier_integrated":
             integrated = brier_score(explainer, data).integrated
             if integrated is None:
                 raise NumericError("integrated Brier score undefined on this data")
-            return oriented(integrated)
-    elif metric_name == "brier_curve":
-        def loss(explainer, data):
-            return oriented(brier_score(explainer, data).values)
-    elif metric_name == "cd_auc_integrated":
-        def loss(explainer, data):
-            integrated = cd_auc(explainer, data).integrated
-            if integrated is None:
-                raise NumericError("integrated cumulative/dynamic AUC undefined on this data")
-            return oriented(integrated)
-    else:  # one_minus_cindex
-        def loss(explainer, data):
-            return oriented(1.0 - concordance_index(explainer, data))
+            return integrated
+        integrated = cd_auc(explainer, data).integrated
+        if integrated is None:
+            raise NumericError("integrated cumulative/dynamic AUC undefined on this data")
+        return 1.0 - integrated
 
     loss.__name__ = metric_name
     return loss

@@ -16,6 +16,8 @@ from .data import StepCurve, SurvivalDataset, TimeGrid
 from .errors import FitError, InputError
 from .estimators import kaplan_meier
 
+_MAX_ITER = 50
+_TOL = 1e-9
 _MAX_HALVINGS = 10
 _DIVERGENCE_BOUND = 20.0
 
@@ -195,7 +197,7 @@ def _halving_search(theta, ll, objective, step):
     return None
 
 
-def _newton_maximize(theta, objective, max_iter, tol, guard_slice):
+def _newton_maximize(theta, objective, guard_slice):
     """Maximize by damped Newton steps.
 
     ``objective(theta)`` returns (log-likelihood, gradient, Hessian), and
@@ -211,9 +213,9 @@ def _newton_maximize(theta, objective, max_iter, tol, guard_slice):
     if not np.isfinite(ll):
         raise FitError("log-likelihood not finite at the starting point")
     eye = np.eye(len(theta))
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         _, g, H = objective(theta)
-        if np.max(np.abs(g), initial=0.0) < tol:
+        if np.max(np.abs(g), initial=0.0) < _TOL:
             return theta, True
         try:
             step = np.linalg.solve(-H, g)
@@ -241,12 +243,12 @@ def _newton_maximize(theta, objective, max_iter, tol, guard_slice):
             return theta, False
         # A heavily damped step can be tiny without being near a stationary
         # point, so step size only signals convergence for undamped Newton.
-        if not damped and np.max(np.abs(taken), initial=0.0) < tol:
+        if not damped and np.max(np.abs(taken), initial=0.0) < _TOL:
             return theta, True
     return theta, False
 
 
-def fit_cox(data: SurvivalDataset, max_iter: int = 50, tol: float = 1e-9) -> CoxModel:
+def fit_cox(data: SurvivalDataset) -> CoxModel:
     """Fit a Cox model by maximizing the Breslow partial likelihood.
 
     Features are centered internally; constant columns are uninformative and
@@ -262,9 +264,7 @@ def fit_cox(data: SurvivalDataset, max_iter: int = 50, tol: float = 1e-9) -> Cox
     active = ~np.all(centered == 0.0, axis=0)
     X = centered[:, active]
     objective, baseline = _cox_objective(data.times, data.events, X)
-    theta, converged = _newton_maximize(
-        np.zeros(X.shape[1]), objective, max_iter, tol, guard_slice=slice(None)
-    )
+    theta, converged = _newton_maximize(np.zeros(X.shape[1]), objective, guard_slice=slice(None))
 
     beta = np.zeros(data.n_features)
     beta[active] = theta
@@ -273,7 +273,7 @@ def fit_cox(data: SurvivalDataset, max_iter: int = 50, tol: float = 1e-9) -> Cox
     )
 
 
-def fit_weibull_aft(data: SurvivalDataset, max_iter: int = 50, tol: float = 1e-9) -> WeibullAftModel:
+def fit_weibull_aft(data: SurvivalDataset) -> WeibullAftModel:
     """Fit the Weibull AFT model in (log shape, intercept, coefficients).
 
     All observation times must be strictly positive (the likelihood needs
@@ -295,7 +295,7 @@ def fit_weibull_aft(data: SurvivalDataset, max_iter: int = 50, tol: float = 1e-9
 
     start = np.concatenate(([0.0, math.log(t.mean())], np.zeros(X.shape[1])))
     theta, converged = _newton_maximize(
-        start, _weibull_objective(t, e, X), max_iter, tol, guard_slice=slice(2, None)
+        start, _weibull_objective(t, e, X), guard_slice=slice(2, None)
     )
 
     coef = np.zeros(data.n_features)

@@ -175,6 +175,22 @@ class TestErrorExits:
         assert cli("fit", str(bad), tmp_path) == 2
         assert "event column must be 0/1 (row 2)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2,1,nan", "non-finite value 'nan' (row 2, column 'x')"),
+            ("inf,1,0.4", "non-finite value 'inf' (row 2, column 'time')"),
+            ("-2,1,0.4", "negative time '-2' (row 2, column 'time')"),
+        ],
+        ids=["nan-feature", "inf-time", "negative-time"],
+    )
+    def test_rejected_cell_exits_2(self, row, message, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"time,event,x\n1,1,0.2\n{row}\n")
+        assert cli("fit", str(bad), tmp_path) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "fit.json").exists()
+
     def test_row_out_of_range_exits_2(self, corpus_csv, tmp_path, capsys):
         assert cli("predict", corpus_csv, tmp_path, "--row", "99") == 2
         assert "--row 99 out of range for 30 data rows" in capsys.readouterr().err
@@ -264,6 +280,19 @@ class TestRoundTrip:
         )
 
 
+# Every command that can draw, with the flags that make it draw.
+PLOTTABLE_CORPUS = [
+    ("fit", ()),
+    ("predict", ("--row", "0")),
+    ("performance", ()),
+    ("parts", ("--loss", "brier_curve", "--n-permutations", "2")),
+    ("profile", ("--variable", "x0", "--grid-size", "5")),
+    ("ice", ("--row", "0", "--variable", "x1", "--grid-size", "5")),
+    ("shap", ("--row", "0")),
+    ("survshap-global", ("--max-rows", "2", "--n-background", "20")),
+]
+
+
 class TestPlotCommand:
     def test_plot_renders_wellformed_svg(self, corpus_csv, tmp_path):
         cli("performance", corpus_csv, tmp_path)
@@ -283,14 +312,15 @@ class TestPlotCommand:
         assert "no curve data" in err
         assert "plottable commands" in err
 
-    def test_svg_matches_plot_command_output(self, corpus_csv, tmp_path):
+    @pytest.mark.parametrize("command,extra", PLOTTABLE_CORPUS, ids=[c for c, _ in PLOTTABLE_CORPUS])
+    def test_svg_matches_plot_command_output(self, command, extra, corpus_csv, tmp_path):
         # --svg at generation time and plot-from-artifact must agree byte for byte
-        cli("ice", corpus_csv, tmp_path, "--row", "0", "--variable", "x1",
-            "--grid-size", "5", "--svg")
-        inline = (tmp_path / "ice.svg").read_bytes()
+        assert cli(command, corpus_csv, tmp_path, *extra, "--svg") == 0
+        inline = (tmp_path / f"{command}.svg").read_bytes()
         replot_dir = tmp_path / "replot"
-        main(["plot", "--artifact", str(tmp_path / "ice.json"), "--out", str(replot_dir)])
-        assert inline == (replot_dir / "ice.svg").read_bytes()
+        artifact = str(tmp_path / f"{command}.json")
+        assert main(["plot", "--artifact", artifact, "--out", str(replot_dir)]) == 0
+        assert inline == (replot_dir / f"{command}.svg").read_bytes()
 
 
 class TestEntryPoint:

@@ -87,3 +87,24 @@ class TestDiagnostics:
         path = write_csv(tmp_path / "bad_event.csv", f"time,event,x\n{rows}\n5,2,0.0\n")
         with pytest.raises(InputError, match=r"event column must be 0/1 \(row 5\)"):
             ingest_csv(path, time_column="time", event_column="event")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,1,nan", r"non-finite value 'nan' \(row 2, column 'age'\)"),
+            ("1,1,-inf", r"non-finite value '-inf' \(row 2, column 'age'\)"),
+            ("inf,0,48", r"non-finite value 'inf' \(row 2, column 'time'\)"),
+            ("-1,0,48", r"negative time '-1' \(row 2, column 'time'\)"),
+            ("NaN,1,unknown", r"non-finite value 'NaN' \(row 2, column 'time'\)"),
+        ],
+        ids=["nan-feature", "inf-feature", "inf-time", "negative-time", "first-bad-cell"],
+    )
+    def test_rejected_cell_coordinates(self, tmp_path, row, message):
+        path = write_csv(tmp_path / "bad.csv", f"time,event,age\n1,1,61\n{row}\n")
+        with pytest.raises(InputError, match=message):
+            ingest_csv(path, time_column="time", event_column="event")
+
+    def test_negative_feature_accepted(self, tmp_path):
+        path = write_csv(tmp_path / "neg.csv", "time,event,age\n1,1,-61\n0,0,-0.5\n")
+        data = ingest_csv(path, time_column="time", event_column="event")
+        np.testing.assert_array_equal(data.features, [[-61.0], [-0.5]])

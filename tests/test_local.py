@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +235,12 @@ class TestStackedBatches:
         assert model.calls <= math.ceil(rows / rows_per_call)
 
 
+@pytest.fixture(scope="module")
+def ten_feature_cox():
+    data = simulate_cox(n=120, beta=np.linspace(-0.5, 0.5, 10), seed=31)
+    return data, explain(fit_cox(data), data)
+
+
 class TestSurvLime:
     @pytest.fixture
     def handmade_cox(self):
@@ -308,6 +316,30 @@ class TestSurvLime:
     def test_too_few_neighbors_rejected(self, cox_data, cox_explainer):
         with pytest.raises(InputError, match="at least 2"):
             predict_parts_survlime(cox_explainer, cox_data.features[0], n_neighbors=1)
+
+    @pytest.mark.parametrize("n_neighbors", [2, 17, 250])
+    def test_kernel_width_is_the_mean_pairwise_distance(self, ten_feature_cox, n_neighbors):
+        data, explainer = ten_feature_cox
+        x = data.features[5]
+        result = predict_parts_survlime(explainer, x, n_neighbors=n_neighbors, seed=3)
+        # reference: the (m, m, p) gap array the row-by-row distances replace
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=3))
+        scale = data.features.std(axis=0)
+        neighbors = x[None, :] + rng.standard_normal((n_neighbors, 10)) * scale[None, :]
+        gaps = neighbors[:, None, :] - neighbors[None, :, :]
+        sigma = np.sqrt((gaps**2).sum(axis=-1))[np.triu_indices(n_neighbors, k=1)].mean()
+        assert result.kernel_width == sigma
+
+    def test_kernel_width_memory_is_quadratic_with_a_small_constant(self, ten_feature_cox):
+        # an (m, m, p) float gap array alone would take 80 MB here
+        data, explainer = ten_feature_cox
+        tracemalloc.start()
+        try:
+            predict_parts_survlime(explainer, data.features[0], n_neighbors=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
 
 class TestIceProfile:
@@ -392,3 +424,21 @@ class TestModelSurvShap:
         X[1, 0] = np.nan
         with pytest.raises(InputError, match="row 1: instance contains non-finite"):
             model_survshap(cox_explainer, X)
+
+
+LOCAL_EXPLANATIONS = {
+    "survshap": lambda explainer, x: predict_parts_survshap(explainer, x),
+    "survlime": lambda explainer, x: predict_parts_survlime(explainer, x),
+    "ice": lambda explainer, x: predict_profile(explainer, x, "x0", grid_values=[0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("explanation", sorted(LOCAL_EXPLANATIONS))
+def test_non_finite_instance_rejected(cox_data, cox_explainer, explanation, bad):
+    x = cox_data.features[0].copy()
+    x[0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="^instance contains non-finite values$"):
+            LOCAL_EXPLANATIONS[explanation](cox_explainer, x)

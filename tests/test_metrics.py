@@ -309,10 +309,6 @@ class TestLossAdapter:
         with pytest.raises(InputError, match="brier_integrated.*one_minus_cindex"):
             loss_adapter("rmse")
 
-    def test_unknown_direction_rejected(self):
-        with pytest.raises(InputError, match="direction"):
-            loss_adapter("brier_integrated", direction="down")
-
     def test_brier_integrated_matches_curve_field(self, six_row):
         data, explainer = six_row
         loss = loss_adapter("brier_integrated")
@@ -335,8 +331,7 @@ class TestLossAdapter:
     def test_score_direction_complements(self, six_row):
         data, explainer = six_row
         complemented = loss_adapter("cd_auc_integrated")(explainer, data)
-        raw = loss_adapter("cd_auc_integrated", direction="loss")(explainer, data)
-        assert abs(raw + complemented - 1.0) < 1e-15
+        assert complemented == 1.0 - cd_auc(explainer, data).integrated
 
     def test_one_minus_cindex_of_perfect_model_is_zero(self):
         data = make_dataset(

@@ -11,23 +11,6 @@ from .data import SurvivalDataset
 from .errors import InputError
 
 
-def _reject_cell(row, row_number: int, header, time_idx: int) -> None:
-    """Raise ``InputError`` naming the row and column of the row's first bad cell."""
-    for k, cell in enumerate(row):
-        try:
-            value = float(cell)
-        except ValueError:
-            problem = "non-numeric value"
-        else:
-            if not math.isfinite(value):
-                problem = "non-finite value"
-            elif k == time_idx and value < 0:
-                problem = "negative time"
-            else:
-                continue
-        raise InputError(f"{problem} {cell!r} (row {row_number}, column {header[k]!r})")
-
-
 def ingest_csv(path, time_column: str, event_column: str) -> SurvivalDataset:
     """Read a survival dataset from a UTF-8 CSV file with a header row.
 
@@ -64,12 +47,21 @@ def ingest_csv(path, time_column: str, event_column: str) -> SurvivalDataset:
                 raise InputError(
                     f"row {row_number} has {len(row)} cells, header has {len(header)}"
                 )
-            try:
-                parsed = list(map(float, row))
-            except ValueError:
-                parsed = None
-            if parsed is None or not all(map(math.isfinite, parsed)) or parsed[time_idx] < 0:
-                _reject_cell(row, row_number, header, time_idx)
+            parsed = []
+            for k, cell in enumerate(row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    problem = "non-numeric value"
+                else:
+                    if not math.isfinite(value):
+                        problem = "non-finite value"
+                    elif k == time_idx and value < 0:
+                        problem = "negative time"
+                    else:
+                        parsed.append(value)
+                        continue
+                raise InputError(f"{problem} {cell!r} (row {row_number}, column {header[k]!r})")
             if parsed[event_idx] not in (0.0, 1.0):
                 raise InputError(f"event column must be 0/1 (row {row_number})")
             times.append(parsed[time_idx])

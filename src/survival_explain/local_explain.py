@@ -254,11 +254,13 @@ def predict_parts_survlime(
     neighbors = x[None, :] + rng.standard_normal((n_neighbors, len(x))) * scale[None, :]
 
     # mean distance over the pairs i < j, one row at a time: O(m^2) floats, not (m, m, p)
-    pairwise = [
-        np.sqrt(((neighbors[i] - neighbors[i + 1 :]) ** 2).sum(axis=1))
-        for i in range(n_neighbors - 1)
-    ]
-    sigma = np.concatenate(pairwise).mean()
+    pairwise = np.empty(n_neighbors * (n_neighbors - 1) // 2)
+    start = 0
+    for i in range(n_neighbors - 1):
+        stop = start + n_neighbors - 1 - i
+        pairwise[start:stop] = np.sqrt(((neighbors[i] - neighbors[i + 1 :]) ** 2).sum(axis=1))
+        start = stop
+    sigma = pairwise.mean()
     if sigma == 0.0:
         raise NumericError("SurvLIME neighborhood collapsed: zero kernel width")
     offsets = ((neighbors - x[None, :]) ** 2).sum(axis=1)

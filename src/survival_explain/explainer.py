@@ -126,8 +126,10 @@ class Explainer:
     checked on every call: a non-finite value raises ``NumericError``; a
     wrong shape, a value out of [0, 1] or a rising curve raises
     ``InputError``; each names the first bad row. A callable must be safe
-    for concurrent invocation. :func:`explain` wraps a per-row callable
-    ``f(x, grid)`` in this batch form.
+    for concurrent invocation, and row-wise: a row's output must not depend
+    on the other rows of its batch, since exact SurvSHAP predicts a repeated
+    coalition row once and reuses it. The built-in models are row-wise.
+    :func:`explain` wraps a per-row callable ``f(x, grid)`` in this batch form.
     """
 
     model: object
@@ -188,7 +190,9 @@ def explain(model, background: SurvivalDataset, grid=None, label: str | None = N
     Built-in models (Kaplan-Meier, Cox, Weibull AFT) are used as they are.
     Anything else must be a callable ``(x, grid) ->`` survival curve (a
     StepCurve or a value vector) for one feature vector; it is called row by
-    row and checked as :class:`Explainer` describes. When ``grid`` is
+    row and checked as :class:`Explainer` describes. Its output for a row
+    must depend on that row alone (no state carried between calls), since
+    a repeated row may be predicted once and reused. When ``grid`` is
     omitted it is derived from the background event times.
     """
     if grid is None:

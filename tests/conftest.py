@@ -31,6 +31,29 @@ def simulate_cox(n, beta, seed, baseline_rate=0.1, censor_factor=1.5):
     return make_dataset(times, events, features)
 
 
+def simulate_cohort(n, p, seed):
+    """Clinical-style covariates with proportional-hazards exponential times.
+
+    Even columns are continuous and rounded to two decimals; odd columns are
+    binary, so many rows share values with any given instance.
+    """
+    rng = np.random.default_rng(seed)
+    features = np.empty((n, p))
+    for j in range(p):
+        if j % 2:
+            features[:, j] = (rng.random(n) < 0.3 + 0.05 * j).astype(float)
+        else:
+            features[:, j] = np.round(60.0 + 10.0 * rng.normal(size=n), 2)
+    spread = features.std(axis=0)
+    standardized = (features - features.mean(axis=0)) / np.where(spread > 0, spread, 1.0)
+    event_times = rng.exponential(20.0 * np.exp(-standardized @ np.linspace(0.5, -0.5, p)))
+    censor_times = rng.exponential(40.0, size=n)
+    times = np.maximum(np.ceil(np.minimum(event_times, censor_times)), 1.0)
+    events = (event_times <= censor_times).astype(int)
+    events[np.argmax(times)] = 1
+    return make_dataset(times, events, features)
+
+
 @pytest.fixture
 def cox_data():
     return simulate_cox(n=80, beta=[0.8, -0.5], seed=11)

@@ -13,7 +13,7 @@ from survival_explain.artifacts import TOOL_VERSION
 from survival_explain.cli import main
 from survival_explain.ingest import ingest_csv
 
-from conftest import simulate_cox
+from conftest import simulate_cohort, simulate_cox
 
 
 def dataset_to_csv(data, path):
@@ -190,6 +190,11 @@ class TestErrorExits:
         assert cli("fit", str(bad), tmp_path) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "fit.json").exists()
+
+    def test_exact_shap_over_the_variable_cap_exits_2(self, tmp_path, capsys):
+        wide = dataset_to_csv(simulate_cohort(200, 17, seed=3), tmp_path / "wide.csv")
+        assert cli("shap", wide, tmp_path, "--row", "0", "--method", "exact") == 2
+        assert "sampling" in capsys.readouterr().err
 
     def test_row_out_of_range_exits_2(self, corpus_csv, tmp_path, capsys):
         assert cli("predict", corpus_csv, tmp_path, "--row", "99") == 2

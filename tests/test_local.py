@@ -15,6 +15,8 @@ from survival_explain import (
     default_time_grid,
     explain,
     fit_cox,
+    fit_kaplan_meier,
+    fit_weibull_aft,
     model_profile,
     model_profile_2d,
     model_survshap,
@@ -24,9 +26,11 @@ from survival_explain import (
     predict_profile,
 )
 
-from survival_explain.global_explain import _STACK_CELLS
+from survival_explain import local_explain
+from survival_explain.global_explain import _STACK_CELLS, _stacked_means
+from survival_explain.local_explain import EXACT_COALITION_MAX, _coalition_values
 
-from conftest import make_dataset, simulate_cox
+from conftest import make_dataset, simulate_cohort, simulate_cox
 
 
 def first_feature_model(x, grid):
@@ -220,11 +224,19 @@ class TestStackedBatches:
         return data, explainer, model, 100 * blocks_per_call
 
     def test_exact_survshap_batches_its_coalitions(self, counted):
-        data, explainer, model, rows_per_call = counted
-        predict_parts_survshap(explainer, data.features[0], method="exact")
-        rows = (1 << 10) * 100
-        assert model.rows == rows
-        assert model.calls <= math.ceil(rows / rows_per_call)
+        data, explainer, model, _ = counted
+        x = data.features[0]
+        predict_parts_survshap(explainer, x, method="exact")
+        # background row b needs the 2^|D(b)| subsets of the columns D(b) where
+        # it differs from x; x itself is a background row and needs one row
+        block_rows = 1 << (data.features != x).sum(axis=1)
+        rows = int(block_rows.sum())
+        assert model.rows == rows == 99 * (1 << 10) + 1
+        # a call holds at most the budget's rows, and each block goes in whole
+        # or, when larger than the budget, in as few pieces as the budget allows
+        per_call = _STACK_CELLS // len(explainer.grid)
+        assert math.ceil(rows / per_call) <= model.calls
+        assert model.calls <= sum(math.ceil(r / per_call) for r in block_rows)
 
     def test_two_variable_profile_batches_its_grid(self, counted):
         _, explainer, model, rows_per_call = counted
@@ -233,6 +245,92 @@ class TestStackedBatches:
         rows = 10 * 10 * 100
         assert model.rows == rows
         assert model.calls <= math.ceil(rows / rows_per_call)
+
+
+def all_rows_values(explainer, x, background):
+    """The coalition value matrix from every coalition's whole background block."""
+    p = len(x)
+    take = ((np.arange(1 << p)[:, None] >> np.arange(p)) & 1).astype(bool)
+    return _stacked_means(explainer, background, take, x)
+
+
+def weibull_row_model(x, grid):
+    lam = math.exp(4.0 - 0.01 * float(x.sum()))
+    return np.exp(-((grid.points / lam) ** 1.2))
+
+
+class TestDistinctCoalitionRows:
+    """Exact SurvSHAP predicts each distinct coalition row once."""
+
+    MODELS = {
+        "cox": fit_cox,
+        "weibull_aft": fit_weibull_aft,
+        "kaplan_meier": fit_kaplan_meier,
+        "per_row_callable": lambda data: weibull_row_model,
+    }
+
+    @pytest.mark.parametrize("p", [1, 3, 6, 10])
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_bit_identical_to_predicting_every_coalition_block(self, model, p, monkeypatch):
+        data = simulate_cohort(120, p, seed=p)
+        explainer = explain(self.MODELS[model](data), data)
+        # 100 rows would take the per-row callable about 7 s at p = 10
+        sizes = (17,) if model == "per_row_callable" and p == 10 else (17, 100)
+        for n_background in sizes:
+            background = background_sample(data.features, n_background)
+            outside = background[3].copy()
+            outside[::2] += 0.005  # the continuous columns
+            assert not (background == outside).all(axis=1).any()
+            for x in (background[3], outside):
+                values = _coalition_values(explainer, x, background)
+                assert np.array_equal(values, all_rows_values(explainer, x, background))
+                result = predict_parts_survshap(explainer, x, n_background, method="exact")
+                with monkeypatch.context() as patched:
+                    patched.setattr(local_explain, "_coalition_values", all_rows_values)
+                    reference = predict_parts_survshap(explainer, x, n_background, method="exact")
+                assert np.array_equal(result.phi, reference.phi)
+                assert np.array_equal(result.baseline, reference.baseline)
+
+    def test_per_row_callable_sees_each_distinct_row_once(self):
+        data = simulate_cohort(150, 6, seed=4)
+        calls = []
+
+        def counting(x, grid):
+            calls.append(None)
+            return weibull_row_model(x, grid)
+
+        explainer = explain(counting, data)
+        assert len(calls) == 1  # the construction probe
+        calls.clear()
+        x = data.features[7]
+        predict_parts_survshap(explainer, x, method="exact")
+        background = background_sample(data.features, 100)
+        assert len(calls) == (1 << (background != x).sum(axis=1)).sum() < 100 * (1 << 6)
+
+    @pytest.mark.parametrize("continuous", [False, True], ids=["cohort", "continuous"])
+    def test_memory_peak_at_ten_variables(self, continuous):
+        data = simulate_cohort(400, 10, seed=6)
+        if continuous:
+            noise = np.random.default_rng(6).normal(scale=1e-3, size=data.features.shape)
+            data = data.with_features(data.features + noise)
+        explainer = explain(fit_cox(data), data)
+        x = data.features[11]
+        tracemalloc.start()
+        try:
+            predict_parts_survshap(explainer, x, method="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+
+    def test_explicit_exact_refuses_more_than_the_cap(self):
+        p = EXACT_COALITION_MAX + 1
+        data = simulate_cohort(60, p, seed=8)
+        explainer = explain(fit_kaplan_meier(data), data)
+        with pytest.raises(InputError, match="sampling"):
+            predict_parts_survshap(explainer, data.features[0], method="exact")
+        with pytest.raises(InputError, match="row 0: .*sampling"):
+            model_survshap(explainer, data.features[:2], method="exact")
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,7 @@ from survival_explain.models import (
     weibull_aft_loglik,
 )
 
-from conftest import make_dataset, simulate_cox
+from conftest import make_dataset, simulate_cohort, simulate_cox
 
 
 def loop_partial_loglik(beta, times, events, features):
@@ -301,6 +301,17 @@ class TestWeibullAft:
 
 
 class TestPredictSurvival:
+    @pytest.mark.parametrize("fit", [fit_cox, fit_weibull_aft, fit_kaplan_meier])
+    def test_each_row_predicts_as_it_does_in_a_batch(self, fit):
+        # exact SurvSHAP predicts a repeated coalition row once and reuses it,
+        # which is exact only when a row's output ignores the rest of its batch
+        data = simulate_cohort(500, 10, seed=12)
+        fitted = fit(data)
+        grid = TimeGrid(points=np.unique(data.times[data.events == 1]))
+        batch = predict_survival_matrix(fitted, data.features, grid)
+        for i, row in enumerate(data.features):
+            assert np.array_equal(predict_survival_matrix(fitted, row[None, :], grid)[0], batch[i])
+
     def test_km_model_broadcasts_curve(self):
         data = make_dataset([1, 2, 3, 4], [1, 1, 0, 1])
         model = fit_kaplan_meier(data)

@@ -135,7 +135,6 @@ class Explainer:
     model: object
     background: SurvivalDataset
     grid: TimeGrid
-    label: str = "model"
 
     def __post_init__(self):
         if self.background.n_observations < 2:
@@ -148,16 +147,18 @@ class Explainer:
 
     def survival_matrix(self, X: np.ndarray, grid: TimeGrid | None = None) -> np.ndarray:
         """(n, T) survival probabilities in [0, 1]; a callable's output is checked first."""
+        # ``grid`` stays for the benchmark's layer tracer, which passes it
+        # positionally; nothing in this package passes one.
         grid = self.grid if grid is None else grid
         X = np.asarray(X, dtype=float)
         if callable(self.model):
             return _checked_survival(self.model(X, grid), len(X), grid)
         return predict_survival_matrix(self.model, X, grid)
 
-    def predict(self, X, output_type="survival", times: TimeGrid | None = None):
+    def predict(self, X, output_type="survival"):
         """Predictions for the rows of ``X`` in the requested format.
 
-        ``survival`` and ``chf`` return an (n, T) array over the grid;
+        ``survival`` and ``chf`` return an (n, T) array over the explainer's grid;
         ``risk`` returns one scalar per row (the grid-sum of the cumulative
         hazard). A single feature vector yields the corresponding
         unbatched shape.
@@ -175,7 +176,7 @@ class Explainer:
             )
         if not np.all(np.isfinite(X)):
             raise InputError("feature matrix contains non-finite values")
-        S = self.survival_matrix(X, times)
+        S = self.survival_matrix(X)
         if output == "survival":
             result = S
         else:
@@ -184,7 +185,7 @@ class Explainer:
         return result[0] if single else result
 
 
-def explain(model, background: SurvivalDataset, grid=None, label: str | None = None) -> Explainer:
+def explain(model, background: SurvivalDataset, grid=None) -> Explainer:
     """Wrap a fitted model or a per-row prediction function as an Explainer.
 
     Built-in models (Kaplan-Meier, Cox, Weibull AFT) are used as they are.
@@ -192,25 +193,19 @@ def explain(model, background: SurvivalDataset, grid=None, label: str | None = N
     StepCurve or a value vector) for one feature vector; it is called row by
     row and checked as :class:`Explainer` describes. Its output for a row
     must depend on that row alone (no state carried between calls), since
-    a repeated row may be predicted once and reused. When ``grid`` is
-    omitted it is derived from the background event times.
+    a repeated row may be predicted once and reused. ``grid`` is the one
+    evaluation grid of every prediction, metric and explanation drawn from
+    the explainer; when omitted it is derived from the background event times.
     """
     if grid is None:
         grid = default_time_grid(background)
     elif not isinstance(grid, TimeGrid):
-        grid = TimeGrid(np.asarray(grid, dtype=float))
+        grid = TimeGrid(grid)
 
     if isinstance(model, (CoxModel, WeibullAftModel, KaplanMeierModel)):
-        default_label = {
-            CoxModel: "cox",
-            WeibullAftModel: "weibull_aft",
-            KaplanMeierModel: "kaplan_meier",
-        }[type(model)]
-        return Explainer(model, background, grid, label or default_label)
+        return Explainer(model, background, grid)
     if callable(model):
-        return Explainer(
-            _per_row(model), background, grid, label or getattr(model, "__name__", "custom")
-        )
+        return Explainer(_per_row(model), background, grid)
     raise InputError(
         f"unsupported model type {type(model).__name__}; "
         "pass a fitted built-in model or a prediction function"

@@ -14,8 +14,9 @@ from .errors import InputError
 def ingest_csv(path, time_column: str, event_column: str) -> SurvivalDataset:
     """Read a survival dataset from a UTF-8 CSV file with a header row.
 
-    Every column other than the named time and event columns becomes a
-    numeric feature, in header order. Rows are 1-based in error messages
+    A leading byte-order mark (spreadsheet "CSV UTF-8" exports write one) is
+    skipped. Every column other than the named time and event columns becomes
+    a numeric feature, in header order. Rows are 1-based in error messages
     (the header row is row 0). Missing, non-numeric and non-finite cells
     and negative times are rejected, never imputed, with the row and column
     of the first such cell.
@@ -23,7 +24,7 @@ def ingest_csv(path, time_column: str, event_column: str) -> SurvivalDataset:
     if time_column == event_column:
         raise InputError("time column and event column must differ")
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as error:
         raise InputError(f"cannot read {path}: {error.strerror or error}") from error
 

@@ -10,7 +10,7 @@ propagating NaN, and are excluded from integration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,14 +34,8 @@ class MetricCurve:
     grid: TimeGrid
     values: np.ndarray
     metric_name: str
-    integrated: float | None = None
-    defined: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.defined is None:
-            self.defined = np.isfinite(self.values)
-        self.defined = np.asarray(self.defined, dtype=bool)
+    integrated: float | None
+    defined: np.ndarray
 
 
 @dataclass
@@ -144,8 +138,8 @@ class _RankCounter:
         return below, end - start
 
 
-def brier_score(explainer: Explainer, data: SurvivalDataset, grid: TimeGrid | None = None) -> MetricCurve:
-    """Time-dependent Brier score with IPCW weighting.
+def brier_score(explainer: Explainer, data: SurvivalDataset) -> MetricCurve:
+    """Time-dependent Brier score over the explainer's grid, IPCW-weighted.
 
     BS(t) averages the squared survival-prediction error, weighting past
     events by 1/G(t_i-) and still-at-risk observations by 1/G(t).
@@ -154,8 +148,8 @@ def brier_score(explainer: Explainer, data: SurvivalDataset, grid: TimeGrid | No
     flagged undefined. A non-finite prediction raises NumericError naming
     its row.
     """
-    grid = explainer.grid if grid is None else grid
-    S = explainer.predict(data.features, "survival", times=grid)
+    grid = explainer.grid
+    S = explainer.predict(data.features, "survival")
     _require_finite(S, "predicted survival")
     G = censoring_km(data)
     g_before = G.evaluate_left(data.times)[:, None]
@@ -180,8 +174,8 @@ def brier_score(explainer: Explainer, data: SurvivalDataset, grid: TimeGrid | No
     return MetricCurve(grid, values, "brier_score", integrated_mean(grid.points, values, defined), defined)
 
 
-def cd_auc(explainer: Explainer, data: SurvivalDataset, grid: TimeGrid | None = None) -> MetricCurve:
-    """Cumulative/dynamic AUC over the grid, IPCW-weighted.
+def cd_auc(explainer: Explainer, data: SurvivalDataset) -> MetricCurve:
+    """Cumulative/dynamic AUC over the explainer's grid, IPCW-weighted.
 
     At each time t, cases are observed events with t_i <= t (weighted by
     1/G(t_i-)^2) and controls are observations still beyond t; tied risk
@@ -192,7 +186,7 @@ def cd_auc(explainer: Explainer, data: SurvivalDataset, grid: TimeGrid | None = 
     O(n log n + T n) time and O(n) memory with no pair matrix. A non-finite
     risk score raises NumericError naming its row.
     """
-    grid = explainer.grid if grid is None else grid
+    grid = explainer.grid
     counter = _RankCounter(explainer.predict(data.features, "risk"), "risk score")
     G = censoring_km(data)
     g_before = G.evaluate_left(data.times)

@@ -248,6 +248,25 @@ def _newton_maximize(theta, objective, guard_slice):
     return theta, False
 
 
+def _centered_design(data: SurvivalDataset, name: str, positive_times=False):
+    """Check ``data`` can fit the ``name`` model; return (means, active, X).
+
+    The checks run in this order: at least two rows, at least one event,
+    and with ``positive_times`` every time > 0. ``X`` is the centered
+    features restricted to the ``active`` (non-constant) columns.
+    """
+    if data.n_observations < 2:
+        raise InputError(f"{name} fitting needs at least two observations")
+    if not np.any(data.events == 1):
+        raise FitError(f"cannot fit a {name} model: no events observed")
+    if positive_times and np.any(data.times <= 0):
+        raise InputError(f"{name} fitting requires all times > 0")
+    means = data.features.mean(axis=0)
+    centered = data.features - means
+    active = ~np.all(centered == 0.0, axis=0)
+    return means, active, centered[:, active]
+
+
 def fit_cox(data: SurvivalDataset) -> CoxModel:
     """Fit a Cox model by maximizing the Breslow partial likelihood.
 
@@ -255,14 +274,7 @@ def fit_cox(data: SurvivalDataset) -> CoxModel:
     receive coefficient 0. Separation is caught by a divergence guard that
     stops once any |beta_j| exceeds 20 and flags non-convergence.
     """
-    if data.n_observations < 2:
-        raise InputError("Cox fitting needs at least two observations")
-    if not np.any(data.events == 1):
-        raise FitError("cannot fit a Cox model: no events observed")
-    means = data.features.mean(axis=0)
-    centered = data.features - means
-    active = ~np.all(centered == 0.0, axis=0)
-    X = centered[:, active]
+    means, active, X = _centered_design(data, "Cox")
     objective, baseline = _cox_objective(data.times, data.events, X)
     theta, converged = _newton_maximize(np.zeros(X.shape[1]), objective, guard_slice=slice(None))
 
@@ -277,20 +289,9 @@ def fit_weibull_aft(data: SurvivalDataset) -> WeibullAftModel:
     """Fit the Weibull AFT model in (log shape, intercept, coefficients).
 
     All observation times must be strictly positive (the likelihood needs
-    log t). Columns that are identically zero are excluded and reported with
-    coefficient 0.
+    log t). Constant columns are excluded and reported with coefficient 0.
     """
-    if data.n_observations < 2:
-        raise InputError("Weibull AFT fitting needs at least two observations")
-    if not np.any(data.events == 1):
-        raise FitError("cannot fit a Weibull AFT model: no events observed")
-    if np.any(data.times <= 0):
-        raise InputError("Weibull AFT fitting requires all times > 0")
-
-    means = data.features.mean(axis=0)
-    centered = data.features - means
-    active = ~np.all(centered == 0.0, axis=0)
-    X = centered[:, active]
+    means, active, X = _centered_design(data, "Weibull AFT", positive_times=True)
     t, e = data.times, data.events
 
     start = np.concatenate(([0.0, math.log(t.mean())], np.zeros(X.shape[1])))

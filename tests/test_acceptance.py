@@ -166,7 +166,7 @@ def test_criterion_3_metric_oracles():
             [[0.9], [0.8], [0.6], [0.4], [0.2]], ["s"],
         )
         grid = TimeGrid(np.array([1.5, 2.5, 3.5, 4.5]))
-        curve = brier_score(explain(level_model, data, grid=grid), data, grid)
+        curve = brier_score(explain(level_model, data, grid=grid), data)
         expected = np.array([
             (0.9**2 + (1 - 0.8)**2 + (1 - 0.6)**2 + (1 - 0.4)**2 + (1 - 0.2)**2) / 5,
             (0.9**2 + ((1 - 0.6)**2 + (1 - 0.4)**2 + (1 - 0.2)**2) / 0.75) / 5,

@@ -93,6 +93,15 @@ class TestResultPayloads:
         assert result["parameters"]["feature_names"] == ["x0", "x1"]
         assert len(result["parameters"]["beta"]) == 2
 
+    def test_fit_on_a_byte_order_marked_csv_matches_the_plain_file(self, corpus_csv, tmp_path):
+        bom_csv = tmp_path / "bom.csv"
+        with open(corpus_csv, "rb") as handle:
+            bom_csv.write_bytes(b"\xef\xbb\xbf" + handle.read())
+        assert cli("fit", corpus_csv, tmp_path / "plain") == 0
+        assert cli("fit", str(bom_csv), tmp_path / "bom") == 0
+        want = load_artifact(tmp_path / "plain", "fit")["result"]
+        assert load_artifact(tmp_path / "bom", "fit")["result"] == want
+
     def test_fit_km_has_survival_curve(self, corpus_csv, tmp_path):
         cli("fit", corpus_csv, tmp_path, "--model", "km")
         envelope = load_artifact(tmp_path, "fit")

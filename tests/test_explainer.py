@@ -59,18 +59,20 @@ class TestDefaultTimeGrid:
 
 class TestExplainConstruction:
     def test_wraps_builtin_models_with_labels(self, cox_data):
-        assert explain(fit_cox(cox_data), cox_data).label == "cox"
-        assert explain(fit_weibull_aft(cox_data), cox_data).label == "weibull_aft"
-        assert explain(fit_kaplan_meier(cox_data), cox_data).label == "kaplan_meier"
+        for m in (fit_cox(cox_data), fit_weibull_aft(cox_data), fit_kaplan_meier(cox_data)):
+            assert explain(m, cox_data).model is m
 
     def test_wraps_user_function(self, cox_data):
         def half_life(x, grid):
             return np.exp(-grid.points / 2.0)
 
         explainer = explain(half_life, cox_data)
-        assert explainer.label == "half_life"
         values = explainer.predict(cox_data.features[0], "survival")
         assert np.allclose(values, np.exp(-explainer.grid.points / 2.0))
+
+    def test_non_numeric_grid_is_an_input_error(self, cox_data):
+        with pytest.raises(InputError, match="^grid points must be numeric$"):
+            explain(fit_cox(cox_data), cox_data, grid=["a", "b"])
 
     def test_probe_rejects_out_of_range_values(self, cox_data):
         with pytest.raises(InputError, match="out of"):
@@ -234,10 +236,13 @@ class TestPredict:
         assert batch.shape == (1, len(cox_explainer.grid))
         assert np.array_equal(single, batch[0])
 
-    def test_times_override_reevaluates_curves(self, cox_explainer, cox_data):
-        coarse = TimeGrid(points=cox_explainer.grid.points[::5])
-        values = cox_explainer.predict(cox_data.features[0], "survival", times=coarse)
-        assert values.shape == (len(coarse),)
+    def test_positional_grid_matches_the_default(self, cox_explainer, cox_data):
+        # the benchmark's layer tracer passes the grid positionally
+        for explainer in (cox_explainer, explain(constant_survival(0.5), cox_data)):
+            X = cox_data.features
+            assert np.array_equal(
+                explainer.survival_matrix(X, explainer.grid), explainer.survival_matrix(X)
+            )
 
     def test_feature_width_mismatch_rejected(self, cox_explainer):
         with pytest.raises(InputError):

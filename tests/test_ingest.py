@@ -40,6 +40,17 @@ class TestWellFormed:
         assert data.feature_names == []
         assert data.features.shape == (3, 0)
 
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        plain = ingest_csv(write_csv(tmp_path / "plain.csv", GOOD_CSV), "time", "event")
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + GOOD_CSV.encode("utf-8"))
+        data = ingest_csv(str(path), time_column="time", event_column="event")
+        assert data.feature_names == plain.feature_names
+        np.testing.assert_array_equal(data.times, plain.times)
+        np.testing.assert_array_equal(data.events, plain.events)
+        np.testing.assert_array_equal(data.features, plain.features)
+
     def test_float_formatted_event_flags(self, tmp_path):
         path = write_csv(tmp_path / "floaty.csv", "time,event,x\n1.0,1.0,0.1\n2.0,0.0,0.2\n")
         data = ingest_csv(path, time_column="time", event_column="event")

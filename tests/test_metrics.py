@@ -80,9 +80,8 @@ class TestBrierScore:
             [[0.9], [0.8], [0.6], [0.4], [0.2]],
             ["s"],
         )
-        explainer = explain(survival_from_feature, data, grid=TimeGrid(np.array([1.5, 2.5, 3.5, 4.5])))
         grid = TimeGrid(np.array([1.5, 2.5, 3.5, 4.5]))
-        curve = brier_score(explainer, data, grid)
+        curve = brier_score(explain(survival_from_feature, data, grid=grid), data)
 
         expected = np.array([
             (0.9**2 / 1.0
@@ -175,8 +174,9 @@ class TestCdAuc:
         assert np.array_equal(a.values[a.defined], b.values[b.defined])
 
     def test_grid_beyond_data_is_undefined_with_no_integral(self, six_row):
-        data, explainer = six_row
-        curve = cd_auc(explainer, data, TimeGrid(np.array([100.0, 200.0])))
+        data, _ = six_row
+        explainer = explain(survival_from_feature, data, grid=TimeGrid(np.array([100.0, 200.0])))
+        curve = cd_auc(explainer, data)
         assert not curve.defined.any()
         assert np.isnan(curve.values).all()
         assert curve.integrated is None

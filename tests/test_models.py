@@ -300,6 +300,43 @@ class TestWeibullAft:
         assert fitted.coefficients[0] == 0.0
 
 
+class TestFitChecks:
+    """Both fits share one set-up; each check keeps its class, message and order."""
+
+    ONE_ROW = ([1.0], [1], [[1.0]])
+    NO_EVENTS = ([1.0, 2.0], [0, 0], [[1.0], [2.0]])
+    ZERO_TIME = ([0.0, 1.0], [1, 1], [[0.1], [0.2]])
+    ONE_ROW_NO_EVENT_ZERO_TIME = ([0.0], [0], [[1.0]])
+    NO_EVENTS_ZERO_TIME = ([0.0, 2.0], [0, 0], [[1.0], [2.0]])
+
+    @pytest.mark.parametrize(
+        "fit, rows, error, message",
+        [
+            (fit_cox, ONE_ROW, InputError, "Cox fitting needs at least two observations"),
+            (fit_cox, NO_EVENTS, FitError, "cannot fit a Cox model: no events observed"),
+            (fit_cox, ONE_ROW_NO_EVENT_ZERO_TIME, InputError,
+             "Cox fitting needs at least two observations"),
+            (fit_weibull_aft, ONE_ROW, InputError,
+             "Weibull AFT fitting needs at least two observations"),
+            (fit_weibull_aft, NO_EVENTS, FitError,
+             "cannot fit a Weibull AFT model: no events observed"),
+            (fit_weibull_aft, ZERO_TIME, InputError, "Weibull AFT fitting requires all times > 0"),
+            (fit_weibull_aft, ONE_ROW_NO_EVENT_ZERO_TIME, InputError,
+             "Weibull AFT fitting needs at least two observations"),
+            (fit_weibull_aft, NO_EVENTS_ZERO_TIME, FitError,
+             "cannot fit a Weibull AFT model: no events observed"),
+        ],
+    )
+    def test_raises_the_first_failing_check(self, fit, rows, error, message):
+        with pytest.raises(Exception) as raised:
+            fit(make_dataset(*rows, ["z"]))
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
+    def test_cox_accepts_a_zero_time(self):
+        fit_cox(make_dataset(*self.ZERO_TIME, ["z"]))
+
+
 class TestPredictSurvival:
     @pytest.mark.parametrize("fit", [fit_cox, fit_weibull_aft, fit_kaplan_meier])
     def test_each_row_predicts_as_it_does_in_a_batch(self, fit):

@@ -16,7 +16,7 @@ import numpy as np
 from .data import SurvivalDataset, TimeGrid
 from .errors import InputError
 from .explainer import Explainer, _normalize_output_type
-from .metrics import loss_adapter
+from .metrics import _prepared_loss
 
 # Profile background subsampling uses its own fixed seed: the sample is part
 # of the estimand (which rows are averaged), not of the Monte-Carlo noise, so
@@ -112,19 +112,24 @@ def model_parts(
 ) -> list[VariableImportance]:
     """Permutation variable importance, one result per variable.
 
-    ``loss`` is a name accepted by loss_adapter or a callable
+    ``loss`` is a name accepted by loss_adapter, prepared once on ``data``
+    and evaluated on each shuffled feature matrix, or a callable
     ``loss(explainer, data)``; larger values must mean worse performance.
     Each (variable, repetition) pair draws its permutation from a sub-seed
     split off the main seed, so results do not depend on evaluation order.
     """
     if n_permutations < 1:
         raise InputError("n_permutations must be at least 1")
-    loss_fn = loss_adapter(loss) if isinstance(loss, str) else loss
     data = explainer.background if data is None else data
+    if isinstance(loss, str):
+        loss_of = _prepared_loss(loss, explainer, data)
+    else:
+        def loss_of(X):
+            return loss(explainer, data.with_features(X))
     if variables is None:
         variables = list(data.feature_names)
 
-    baseline = loss_fn(explainer, data)
+    baseline = loss_of(data.features)
     results = []
     for name in variables:
         j = data.column_index(name)
@@ -136,7 +141,7 @@ def model_parts(
             )
             shuffled = data.features.copy()
             shuffled[:, j] = shuffled[rng.permutation(data.n_observations), j]
-            permuted = loss_fn(explainer, data.with_features(shuffled))
+            permuted = loss_of(shuffled)
             replicates.append(permuted)
             deltas.append(permuted - baseline)
         importance = np.mean(deltas, axis=0)

@@ -138,19 +138,13 @@ class _RankCounter:
         return below, end - start
 
 
-def brier_score(explainer: Explainer, data: SurvivalDataset) -> MetricCurve:
-    """Time-dependent Brier score over the explainer's grid, IPCW-weighted.
+def _brier_scorer(grid: TimeGrid, data: SurvivalDataset):
+    """Prepare the IPCW Brier score on ``data``; returns ``score(S)``.
 
-    BS(t) averages the squared survival-prediction error, weighting past
-    events by 1/G(t_i-) and still-at-risk observations by 1/G(t).
-    Observations whose weight would divide by G = 0 are dropped and the
-    denominator adjusted; a grid point where everything is dropped is
-    flagged undefined. A non-finite prediction raises NumericError naming
-    its row.
+    The censoring weights are multiplied into their 0/1 masks here, once,
+    so each score is two weighted squares and one sum over rows, with the
+    same values the unprepared product gives.
     """
-    grid = explainer.grid
-    S = explainer.predict(data.features, "survival")
-    _require_finite(S, "predicted survival")
     G = censoring_km(data)
     g_before = G.evaluate_left(data.times)[:, None]
     g_at = G.evaluate(grid.points)[None, :]
@@ -162,16 +156,73 @@ def brier_score(explainer: Explainer, data: SurvivalDataset) -> MetricCurve:
     at_risk = observed > t
 
     with np.errstate(divide="ignore"):
-        w_event = np.where(g_before > 0, 1.0 / g_before, 0.0)
-        w_risk = np.where(g_at > 0, 1.0 / g_at, 0.0)
-    contributions = past_event * S**2 * w_event + at_risk * (1.0 - S) ** 2 * w_risk
+        w_event = past_event * np.where(g_before > 0, 1.0 / g_before, 0.0)
+        w_risk = at_risk * np.where(g_at > 0, 1.0 / g_at, 0.0)
     dropped = (past_event & (g_before == 0)) | (at_risk & (g_at == 0))
     n_effective = data.n_observations - dropped.sum(axis=0)
-
     defined = n_effective > 0
-    values = np.full(len(grid), np.nan)
-    values[defined] = contributions.sum(axis=0)[defined] / n_effective[defined]
-    return MetricCurve(grid, values, "brier_score", integrated_mean(grid.points, values, defined), defined)
+
+    def score(S) -> MetricCurve:
+        _require_finite(S, "predicted survival")
+        contributions = S**2 * w_event + (1.0 - S) ** 2 * w_risk
+        values = np.full(len(grid), np.nan)
+        values[defined] = contributions.sum(axis=0)[defined] / n_effective[defined]
+        integrated = integrated_mean(grid.points, values, defined)
+        return MetricCurve(grid, values, "brier_score", integrated, defined.copy())
+
+    return score
+
+
+def brier_score(explainer: Explainer, data: SurvivalDataset) -> MetricCurve:
+    """Time-dependent Brier score over the explainer's grid, IPCW-weighted.
+
+    BS(t) averages the squared survival-prediction error, weighting past
+    events by 1/G(t_i-) and still-at-risk observations by 1/G(t).
+    Observations whose weight would divide by G = 0 are dropped and the
+    denominator adjusted; a grid point where everything is dropped is
+    flagged undefined. A non-finite prediction raises NumericError naming
+    its row.
+    """
+    score = _brier_scorer(explainer.grid, data)
+    return score(explainer.predict(data.features, "survival"))
+
+
+def _cd_auc_scorer(grid: TimeGrid, data: SurvivalDataset):
+    """Prepare the cumulative/dynamic AUC on ``data``; returns ``score(risk)``.
+
+    Each defined grid point keeps its case rows, control mask, control count
+    and case weights, so a score only ranks the risks and counts.
+    """
+    G = censoring_km(data)
+    g_before = G.evaluate_left(data.times)
+    with np.errstate(divide="ignore"):
+        w = np.where(g_before > 0, 1.0 / g_before**2, 0.0)
+
+    points = []
+    defined = np.zeros(len(grid), dtype=bool)
+    for k, t in enumerate(grid.points):
+        cases = np.flatnonzero((data.times <= t) & (data.events == 1))
+        controls = data.times > t
+        n_controls = int(controls.sum())
+        w_cases = w[cases]
+        weight = w_cases.sum()
+        if weight * n_controls == 0:
+            continue
+        points.append((k, cases, controls, n_controls, w_cases, weight))
+        defined[k] = True
+
+    def score(risk) -> MetricCurve:
+        counter = _RankCounter(risk, "risk score")
+        values = np.full(len(grid), np.nan)
+        for k, cases, controls, n_controls, w_cases, weight in points:
+            below, tied = counter.below_and_tied(controls, counter.ranks[cases])
+            # all ties make every case score exactly 0.5, hence a value of 0.5
+            case_score = (below + 0.5 * tied) / n_controls
+            values[k] = (w_cases * case_score).sum() / weight
+        integrated = integrated_mean(grid.points, values, defined)
+        return MetricCurve(grid, values, "cd_auc", integrated, defined.copy())
+
+    return score
 
 
 def cd_auc(explainer: Explainer, data: SurvivalDataset) -> MetricCurve:
@@ -186,29 +237,32 @@ def cd_auc(explainer: Explainer, data: SurvivalDataset) -> MetricCurve:
     O(n log n + T n) time and O(n) memory with no pair matrix. A non-finite
     risk score raises NumericError naming its row.
     """
-    grid = explainer.grid
-    counter = _RankCounter(explainer.predict(data.features, "risk"), "risk score")
-    G = censoring_km(data)
-    g_before = G.evaluate_left(data.times)
-    with np.errstate(divide="ignore"):
-        w = np.where(g_before > 0, 1.0 / g_before**2, 0.0)
+    score = _cd_auc_scorer(explainer.grid, data)
+    return score(explainer.predict(data.features, "risk"))
 
-    values = np.full(len(grid), np.nan)
-    defined = np.zeros(len(grid), dtype=bool)
-    for k, t in enumerate(grid.points):
-        cases = (data.times <= t) & (data.events == 1)
-        controls = data.times > t
-        n_controls = int(controls.sum())
-        w_cases = w[cases]
-        weight = w_cases.sum()
-        if weight * n_controls == 0:
-            continue
-        below, tied = counter.below_and_tied(controls, counter.ranks[cases])
-        # all ties make every case score exactly 0.5, hence a value of 0.5
-        case_score = (below + 0.5 * tied) / n_controls
-        values[k] = (w_cases * case_score).sum() / weight
-        defined[k] = True
-    return MetricCurve(grid, values, "cd_auc", integrated_mean(grid.points, values, defined), defined)
+
+def _concordance_scorer(data: SurvivalDataset):
+    """Prepare Harrell's C on ``data``; returns ``score(risk)``.
+
+    The time order and each event's prefix of later rows are kept, so a
+    score only ranks the risks and sweeps them.
+    """
+    events = data.events == 1
+    by_decreasing_time = np.argsort(-data.times, kind="stable")
+    # rows strictly later than each event: a prefix of that order
+    later = np.searchsorted(-data.times[by_decreasing_time], -data.times[events], side="left")
+    n_comparable = int(later.sum())
+
+    def score(risk) -> float:
+        counter = _RankCounter(risk, "risk score")
+        if n_comparable == 0:
+            raise NumericError("concordance index undefined: no comparable pairs")
+        below, tied = counter.prefix_below_and_tied(
+            by_decreasing_time, later, counter.ranks[events]
+        )
+        return float((2 * int(below.sum()) + int(tied.sum())) / (2 * n_comparable))
+
+    return score
 
 
 def concordance_index(explainer: Explainer, data: SurvivalDataset) -> float:
@@ -221,16 +275,8 @@ def concordance_index(explainer: Explainer, data: SurvivalDataset) -> float:
     O(n) memory. The counts are exact integers, so all-tied risks give
     exactly 0.5. A non-finite risk score raises NumericError naming its row.
     """
-    counter = _RankCounter(explainer.predict(data.features, "risk"), "risk score")
-    events = data.events == 1
-    by_decreasing_time = np.argsort(-data.times, kind="stable")
-    # rows strictly later than each event: a prefix of that order
-    later = np.searchsorted(-data.times[by_decreasing_time], -data.times[events], side="left")
-    n_comparable = int(later.sum())
-    if n_comparable == 0:
-        raise NumericError("concordance index undefined: no comparable pairs")
-    below, tied = counter.prefix_below_and_tied(by_decreasing_time, later, counter.ranks[events])
-    return float((2 * int(below.sum()) + int(tied.sum())) / (2 * n_comparable))
+    score = _concordance_scorer(data)
+    return score(explainer.predict(data.features, "risk"))
 
 
 def roc_at_time(explainer: Explainer, data: SurvivalDataset, t: float) -> RocCurve:
@@ -272,6 +318,13 @@ def roc_at_time(explainer: Explainer, data: SurvivalDataset, t: float) -> RocCur
     )
 
 
+def _check_loss_name(metric_name) -> None:
+    if metric_name not in LOSS_NAMES:
+        raise InputError(
+            f"unknown loss {metric_name!r}; valid names: {', '.join(LOSS_NAMES)}"
+        )
+
+
 def loss_adapter(metric_name: str):
     """Build a ``loss(explainer, data)`` callable oriented so larger = worse.
 
@@ -279,25 +332,39 @@ def loss_adapter(metric_name: str):
     losses already and are used as they are. ``brier_curve`` yields a value
     per grid point; the others are scalars.
     """
-    if metric_name not in LOSS_NAMES:
-        raise InputError(
-            f"unknown loss {metric_name!r}; valid names: {', '.join(LOSS_NAMES)}"
-        )
+    _check_loss_name(metric_name)
 
     def loss(explainer, data):
-        if metric_name == "brier_curve":
-            return brier_score(explainer, data).values
-        if metric_name == "one_minus_cindex":
-            return 1.0 - concordance_index(explainer, data)
-        if metric_name == "brier_integrated":
-            integrated = brier_score(explainer, data).integrated
-            if integrated is None:
-                raise NumericError("integrated Brier score undefined on this data")
-            return integrated
-        integrated = cd_auc(explainer, data).integrated
-        if integrated is None:
-            raise NumericError("integrated cumulative/dynamic AUC undefined on this data")
-        return 1.0 - integrated
+        return _prepared_loss(metric_name, explainer, data)(data.features)
 
     loss.__name__ = metric_name
     return loss
+
+
+def _integrated(curve: MetricCurve, what: str) -> float:
+    if curve.integrated is None:
+        raise NumericError(f"integrated {what} undefined on this data")
+    return curve.integrated
+
+
+def _prepared_loss(metric_name: str, explainer: Explainer, data: SurvivalDataset):
+    """The named loss prepared once on ``data``: returns ``loss_of(X)``.
+
+    ``loss_of(X)`` is ``loss_adapter(metric_name)(explainer, data)`` for data
+    whose feature matrix is ``X`` (same rows, times and events): the
+    censoring weights, masks and time order are built here, and each call
+    only predicts and scores.
+    """
+    _check_loss_name(metric_name)
+    if metric_name == "one_minus_cindex":
+        score = _concordance_scorer(data)
+        return lambda X: 1.0 - score(explainer.predict(X, "risk"))
+    if metric_name == "cd_auc_integrated":
+        score = _cd_auc_scorer(explainer.grid, data)
+        return lambda X: 1.0 - _integrated(
+            score(explainer.predict(X, "risk")), "cumulative/dynamic AUC"
+        )
+    score = _brier_scorer(explainer.grid, data)
+    if metric_name == "brier_curve":
+        return lambda X: score(explainer.predict(X, "survival")).values
+    return lambda X: _integrated(score(explainer.predict(X, "survival")), "Brier score")

@@ -102,6 +102,17 @@ class TestResultPayloads:
         want = load_artifact(tmp_path / "plain", "fit")["result"]
         assert load_artifact(tmp_path / "bom", "fit")["result"] == want
 
+    def test_fit_on_a_csv_with_blank_lines_matches_the_clean_file(self, corpus_csv, tmp_path):
+        # one blank line mid-file and two at the end
+        with open(corpus_csv, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        blank_csv = tmp_path / "blank.csv"
+        blank_csv.write_text("\n".join(lines[:10] + [""] + lines[10:]) + "\n\n\n")
+        assert cli("fit", corpus_csv, tmp_path / "clean") == 0
+        assert cli("fit", str(blank_csv), tmp_path / "blank") == 0
+        want = load_artifact(tmp_path / "clean", "fit")["result"]
+        assert load_artifact(tmp_path / "blank", "fit")["result"] == want
+
     def test_fit_km_has_survival_curve(self, corpus_csv, tmp_path):
         cli("fit", corpus_csv, tmp_path, "--model", "km")
         envelope = load_artifact(tmp_path, "fit")

@@ -15,7 +15,9 @@ from survival_explain import (
     predict_profile,
 )
 
-from conftest import make_dataset, simulate_cox
+from survival_explain.metrics import LOSS_NAMES
+
+from conftest import make_dataset, simulate_cohort, simulate_cox
 
 
 def first_feature_model(x, grid):
@@ -84,6 +86,36 @@ class TestModelParts:
         se_few = few.replicate_losses.std() / np.sqrt(few.n_permutations)
         se_many = many.replicate_losses.std() / np.sqrt(many.n_permutations)
         assert se_many < se_few
+
+
+def per_row_weibull(x, grid):
+    return np.exp(-((grid.points / 20.0) ** 1.3) * np.exp(0.4 * x[0] - 0.3 * x[1]))
+
+
+@pytest.fixture(scope="module")
+def last_time_censored():
+    # every row at the largest time is censored, so the censoring KM reaches 0
+    data = simulate_cohort(n=150, p=4, seed=3)
+    events = np.where(data.times == data.times.max(), 0, data.events)
+    return make_dataset(data.times, events, data.features, data.feature_names)
+
+
+class TestPreparedLoss:
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    @pytest.mark.parametrize("model", ["cox", "per-row"])
+    def test_named_loss_matches_fresh_preparation(self, name, model, cox_data, last_time_censored):
+        # a named loss is prepared once per model_parts call; a callable loss
+        # prepares on every call, so any state one score left behind would
+        # show up as a difference
+        for data in (cox_data, last_time_censored):
+            explainer = explain(fit_cox(data) if model == "cox" else per_row_weibull, data)
+            prepared = model_parts(explainer, name, n_permutations=2, seed=5)
+            fresh = model_parts(
+                explainer, lambda e, d: loss_adapter(name)(e, d), n_permutations=2, seed=5
+            )
+            for a, b in zip(prepared, fresh, strict=True):
+                assert np.array_equal(a.baseline_loss, b.baseline_loss)
+                assert np.array_equal(a.replicate_losses, b.replicate_losses)
 
 
 class TestBackgroundSample:

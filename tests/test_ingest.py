@@ -1,10 +1,15 @@
 """CSV ingestion: happy paths and every diagnostic message with coordinates."""
 
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from survival_explain import InputError
-from survival_explain.ingest import ingest_csv
+from survival_explain.ingest import _BLOCK_ROWS, ingest_csv
 
 
 def write_csv(path, text):
@@ -119,3 +124,138 @@ class TestDiagnostics:
         path = write_csv(tmp_path / "neg.csv", "time,event,age\n1,1,-61\n0,0,-0.5\n")
         data = ingest_csv(path, time_column="time", event_column="event")
         np.testing.assert_array_equal(data.features, [[-61.0], [-0.5]])
+
+
+class TestBlankLines:
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # one blank line mid-file and two at the end: the clean file's dataset
+        clean = ingest_csv(write_csv(tmp_path / "clean.csv", GOOD_CSV), "time", "event")
+        lines = GOOD_CSV.splitlines()
+        blank = "\n".join(lines[:2] + [""] + lines[2:]) + "\n\n\n"
+        data = ingest_csv(write_csv(tmp_path / "blank.csv", blank), "time", "event")
+        np.testing.assert_array_equal(data.times, clean.times)
+        np.testing.assert_array_equal(data.events, clean.events)
+        np.testing.assert_array_equal(data.features, clean.features)
+
+    def test_blank_lines_keep_their_row_numbers(self, tmp_path):
+        path = write_csv(tmp_path / "blank.csv", "time,event,age\n1,1,61\n\n2,0,x\n")
+        with pytest.raises(InputError, match=r"non-numeric value 'x' \(row 3, column 'age'\)"):
+            ingest_csv(path, time_column="time", event_column="event")
+
+    def test_whitespace_only_line_is_not_blank(self, tmp_path):
+        path = write_csv(tmp_path / "space.csv", "time,event,age\n1,1,61\n \n")
+        with pytest.raises(InputError, match=r"row 2 has 1 cells, header has 3"):
+            ingest_csv(path, time_column="time", event_column="event")
+
+    def test_only_blank_lines_after_header(self, tmp_path):
+        path = write_csv(tmp_path / "blank.csv", "time,event,age\n\n\n")
+        with pytest.raises(InputError, match="no data rows"):
+            ingest_csv(path, time_column="time", event_column="event")
+
+
+# Cells that Python's float() reads, by column kind, and cells it rejects or
+# that break a column's rule. Digits in other scripts and underscores are
+# valid float() syntax.
+HEADER = ["age", "time", "dose", "event"]
+VALID = {
+    "age": ("61", "-2.5", " 3 ", "1_0", "1e2", "١٢", "-0"),
+    "time": ("0", "7.75", " 3 ", "1_0", "1e2", "١٢", "-0"),
+    "dose": ("0.5", "1.25", " 3 ", "1_0", "1e-3", "١٢"),
+    "event": ("0", "1", "1.0", " 0 ", "-0"),
+}
+BAD = ("", "x", "nan", "inf", "1e400")
+FAULTS = (*BAD, "-1", "2", "short")
+
+
+def reference_ingest(text, time_column, event_column):
+    """Cell-by-cell reference: every rule of ``ingest_csv`` applied to one
+    cell at a time, in row and then column order."""
+    records = list(csv.reader(io.StringIO(text, newline="")))
+    header = records[0]
+    time_idx, event_idx = header.index(time_column), header.index(event_column)
+    feature_idx = [k for k in range(len(header)) if k not in (time_idx, event_idx)]
+    times, events, features = [], [], []
+    for row_number, row in enumerate(records[1:], start=1):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise InputError(f"row {row_number} has {len(row)} cells, header has {len(header)}")
+        values = []
+        for k, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise InputError(
+                    f"non-numeric value {cell!r} (row {row_number}, column {header[k]!r})"
+                ) from None
+            if not math.isfinite(value):
+                raise InputError(
+                    f"non-finite value {cell!r} (row {row_number}, column {header[k]!r})"
+                )
+            if k == time_idx and value < 0:
+                raise InputError(
+                    f"negative time {cell!r} (row {row_number}, column {header[k]!r})"
+                )
+            values.append(value)
+        if values[event_idx] not in (0.0, 1.0):
+            raise InputError(f"event column must be 0/1 (row {row_number})")
+        times.append(values[time_idx])
+        events.append(int(values[event_idx]))
+        features.append([values[k] for k in feature_idx])
+    if not times:
+        raise InputError("no data rows")
+    return (
+        np.array(times, dtype=float),
+        np.array(events, dtype=int),
+        np.array(features, dtype=float).reshape(len(times), len(feature_idx)),
+    )
+
+
+@st.composite
+def block_spanning_csvs(draw, kind):
+    """CSV text of more than two parse blocks of valid cells, with one
+    ``kind`` of fault (a bad cell, a negative time, a 2-valued event or a
+    short row; None for none) and up to one more, and up to three blank
+    lines, placed anywhere."""
+    n_rows = draw(st.integers(2 * _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = [np.array(VALID[name])[rng.integers(len(VALID[name]), size=n_rows)]
+               for name in HEADER]
+    rows = [list(row) for row in zip(*columns)]
+    # the rows come from the seeded generator, so they spread over every
+    # block; rows are shortened last, so every column index stays in range
+    kinds = [kind] + draw(st.lists(st.sampled_from(FAULTS), max_size=1)) if kind else []
+    for fault in sorted(kinds, key=lambda fault: fault == "short"):
+        row = rows[rng.integers(n_rows)]
+        if fault == "short":
+            row.pop()
+        elif fault in BAD:
+            row[rng.integers(len(row))] = fault
+        else:
+            row[HEADER.index("time" if fault == "-1" else "event")] = fault
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(rng.integers(n_rows + 1), "")
+    return ",".join(HEADER) + "\n" + "\n".join(lines) + "\n"
+
+
+class TestBlockParsing:
+    @pytest.mark.parametrize("kind", (None, *FAULTS))
+    @settings(deadline=None, max_examples=12)
+    @given(data=st.data())
+    def test_matches_cell_by_cell_reference(self, tmp_path_factory, kind, data):
+        text = data.draw(block_spanning_csvs(kind))
+        path = tmp_path_factory.mktemp("blocks") / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = reference_ingest(text, "time", "event")
+        except InputError as error:
+            with pytest.raises(InputError) as raised:
+                ingest_csv(str(path), "time", "event")
+            assert str(raised.value) == str(error)
+            return
+        result = ingest_csv(str(path), "time", "event")
+        for got, want in zip((result.times, result.events, result.features), expected):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags["C_CONTIGUOUS"]

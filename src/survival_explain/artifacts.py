@@ -58,9 +58,34 @@ def build_envelope(command: str, config: dict, result: dict, grid=None, curves=N
     return jsonify(envelope)
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _encode(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``.
+
+    The standard library encodes with an indent in pure Python; here each
+    list of scalars goes through its C encoder in one call, with the
+    indented layout as the item separator.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{json.dumps(key)}: {_encode(value[key], inner)}" for key in sorted(value))
+    elif isinstance(value, list) and value:
+        if set(map(type, value)) <= _SCALARS:
+            items = [json.dumps(value, separators=(",\n" + inner, ": "), allow_nan=False)[1:-1]]
+        else:
+            items = (_encode(item, inner) for item in value)
+    else:
+        return json.dumps(value, allow_nan=False)
+    opening, closing = "{}" if isinstance(value, dict) else "[]"
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
+
+
 def write_artifact(path, envelope: dict) -> None:
+    text = _encode(envelope)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(envelope, handle, indent=2, sort_keys=True, allow_nan=False)
+        handle.write(text)
         handle.write("\n")
 
 

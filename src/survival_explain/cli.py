@@ -18,7 +18,7 @@ import numpy as np
 
 from .artifacts import TOOL_VERSION, build_envelope, jsonify, read_artifact, write_artifact
 from .errors import InputError, NumericError
-from .explainer import OUTPUT_TYPES, default_time_grid, explain
+from .explainer import OUTPUT_TYPES, _cumulative_hazard, default_time_grid, explain
 from .global_explain import model_diagnostics, model_parts, model_profile, model_profile_2d
 from .ingest import ingest_csv
 from .local_explain import (
@@ -27,7 +27,13 @@ from .local_explain import (
     predict_parts_survshap,
     predict_profile,
 )
-from .metrics import LOSS_NAMES, brier_score, cd_auc, concordance_index, roc_at_time
+from .metrics import (
+    LOSS_NAMES,
+    _brier_scorer,
+    _cd_auc_scorer,
+    _concordance_scorer,
+    _roc_scorer,
+)
 from .models import (
     CoxModel,
     KaplanMeierModel,
@@ -201,16 +207,19 @@ def _handle_predict(args, explainer, data):
 
 
 def _handle_performance(args, explainer, data):
-    brier = brier_score(explainer, data)
-    auc = cd_auc(explainer, data)
-    cindex = concordance_index(explainer, data)
+    # one prediction feeds every metric, each scored as its public function scores it
+    S = explainer.predict(data.features, "survival")
+    risk = _cumulative_hazard(S).sum(axis=1)
+    brier = _brier_scorer(explainer.grid, data)(S)
+    auc = _cd_auc_scorer(explainer.grid, data)(risk)
+    cindex = _concordance_scorer(data)(risk)
     result = {
         "brier": {"values": brier.values, "integrated": brier.integrated},
         "cd_auc": {"values": auc.values, "integrated": auc.integrated},
         "concordance_index": cindex,
     }
     if args.at_time is not None:
-        roc = roc_at_time(explainer, data, args.at_time)
+        roc = _roc_scorer(explainer.grid, data, args.at_time)(S)
         result["roc"] = {
             "time": roc.time,
             "fpr": roc.fpr,

@@ -180,9 +180,15 @@ class Explainer:
         if output == "survival":
             result = S
         else:
-            chf = -np.log(np.clip(S, SURVIVAL_FLOOR, 1.0))
+            chf = _cumulative_hazard(S)
             result = chf if output == "chf" else chf.sum(axis=1)
         return result[0] if single else result
+
+
+def _cumulative_hazard(S):
+    """The cumulative hazard -log S, with S floored at ``SURVIVAL_FLOOR``;
+    its sum over the grid is the ``risk`` output."""
+    return -np.log(np.clip(S, SURVIVAL_FLOOR, 1.0))
 
 
 def explain(model, background: SurvivalDataset, grid=None) -> Explainer:

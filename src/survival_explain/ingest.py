@@ -3,28 +3,27 @@
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
-from itertools import islice
 
 import numpy as np
 
 from .data import SurvivalDataset
 from .errors import InputError
 
-# Records converted per numpy call. Only one block's cell strings are held at
-# a time; converting the whole file at once would hold every cell's string
-# beside the parsed table.
-_BLOCK_ROWS = 512
+# ASCII separator controls: numpy's reader strips them around a number as
+# whitespace, and float() rejects them, so a file holding one skips numpy.
+_SEPARATORS = b"\x1c\x1d\x1e\x1f"
 
 
-def _parse_cells(records, first_row: int, header, time_idx: int, event_idx: int) -> np.ndarray:
-    """Parse ``records`` one cell at a time, raising at the first bad cell.
-
-    ``first_row`` is the row number of ``records[0]``; empty records are
-    skipped but keep their row numbers. Returns the (rows, columns) table.
+def _parse_cells(records, header, time_idx: int, event_idx: int) -> np.ndarray:
+    """Parse the data ``records`` one cell at a time, raising at the first
+    bad cell. Rows are numbered from 1, and empty records are skipped but
+    keep their numbers. Returns the (rows, columns) table.
     """
     table = []
-    for row_number, row in enumerate(records, start=first_row):
+    for row_number, row in enumerate(records, start=1):
         if not row:
             continue
         if len(row) != len(header):
@@ -52,55 +51,53 @@ def _parse_cells(records, first_row: int, header, time_idx: int, event_idx: int)
     return np.array(table, dtype=float).reshape(len(table), len(header))
 
 
-def _parse_block(records, first_row: int, header, time_idx: int, event_idx: int) -> np.ndarray:
-    """Parse a block of records with one numpy conversion and whole-block checks.
-
-    numpy converts each ``str`` cell with Python's ``float()``, so a block
-    that converts and passes every check holds exactly what the cell loop
-    would give. Any other block goes through the cell loop, which names the
-    first bad cell.
-    """
-    rows = [row for row in records if row]
+def _load_table(handle, n_columns: int, time_idx: int, event_idx: int):
+    """The rest of ``handle`` through numpy's C reader, or None for the cell
+    loop. numpy reads each cell it accepts as ``float()`` does, so a table
+    that loads and passes these checks holds what the cell loop would give."""
+    # numpy warns on input with no rows, so a file with none skips numpy
+    first = next((line for line in handle if line.strip("\r\n")), None)
+    if first is None:
+        return None
+    lines = itertools.chain([first], handle)
     try:
-        block = np.array(rows, dtype=float)
+        table = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=float)
     except ValueError:
-        pass
-    else:
-        if (
-            block.shape == (len(rows), len(header))
-            and np.isfinite(block).all()
-            and (block[:, time_idx] >= 0).all()
-            and np.isin(block[:, event_idx], (0.0, 1.0)).all()
-        ):
-            return block
-    return _parse_cells(records, first_row, header, time_idx, event_idx)
+        return None
+    valid = (
+        table.shape[1] == n_columns
+        and np.isfinite(table).all()
+        and (table[:, time_idx] >= 0).all()
+        and np.isin(table[:, event_idx], (0.0, 1.0)).all()
+    )
+    return table if valid else None
 
 
 def ingest_csv(path, time_column: str, event_column: str) -> SurvivalDataset:
     """Read a survival dataset from a UTF-8 CSV file with a header row.
 
     A leading byte-order mark (spreadsheet "CSV UTF-8" exports write one) is
-    skipped, and so are blank lines after the header. Every column other
-    than the named time and event columns becomes a numeric feature, in
-    header order; each cell is read as Python's ``float()`` reads it. Rows
-    are 1-based in error messages (the header row is row 0, and blank lines
-    keep their numbers). Missing, non-numeric and non-finite cells and
-    negative times are rejected, never imputed, with the row and column of
-    the first such cell.
+    skipped, and so are blank lines before and after the header. Every
+    column other than the named time and event columns becomes a numeric
+    feature, in header order; each cell is read as Python's ``float()``
+    reads it. Rows are 1-based in error messages (the header row is row 0,
+    and blank lines after it keep their numbers). Missing, non-numeric and
+    non-finite cells and negative times are rejected, never imputed, with
+    the row and column of the first such cell.
     """
     if time_column == event_column:
         raise InputError("time column and event column must differ")
     try:
-        handle = open(path, newline="", encoding="utf-8-sig")
+        with open(path, "rb") as source:
+            content = source.read()
     except OSError as error:
         raise InputError(f"cannot read {path}: {error.strerror or error}") from error
 
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file, expected a header row") from None
+    # read from memory, so the cell loop can start over on any input
+    with io.TextIOWrapper(io.BytesIO(content), encoding="utf-8-sig", newline="") as handle:
+        header = next((row for row in csv.reader(handle) if row), None)
+        if header is None:
+            raise InputError(f"{path}: empty file, expected a header row")
         for required in (time_column, event_column):
             if required not in header:
                 raise InputError(f"column {required!r} not found in CSV header")
@@ -108,13 +105,15 @@ def ingest_csv(path, time_column: str, event_column: str) -> SurvivalDataset:
         event_idx = header.index(event_column)
         feature_idx = [k for k in range(len(header)) if k not in (time_idx, event_idx)]
 
-        blocks = [np.empty((0, len(header)))]
-        first_row = 1
-        while records := list(islice(reader, _BLOCK_ROWS)):
-            blocks.append(_parse_block(records, first_row, header, time_idx, event_idx))
-            first_row += len(records)
+        table = None
+        if not any(separator in content for separator in _SEPARATORS):
+            table = _load_table(handle, len(header), time_idx, event_idx)
+        if table is None:
+            handle.seek(0)
+            records = csv.reader(handle)
+            next(row for row in records if row)  # the header
+            table = _parse_cells(records, header, time_idx, event_idx)
 
-    table = np.concatenate(blocks)
     if not len(table):
         raise InputError(f"{path}: no data rows")
     return SurvivalDataset(

@@ -279,6 +279,36 @@ def concordance_index(explainer: Explainer, data: SurvivalDataset) -> float:
     return score(explainer.predict(data.features, "risk"))
 
 
+def _roc_scorer(grid: TimeGrid, data: SurvivalDataset, t: float):
+    """Prepare the ROC curve at ``t`` on ``data``; returns ``score(S)``."""
+    t = float(t)
+    if not np.isfinite(t):
+        raise InputError("evaluation time must be finite")
+    idx = int(np.searchsorted(grid.points, t, side="right")) - 1
+    positives = (data.events == 1) & (data.times <= t)
+    negatives = data.times > t
+
+    def score(S) -> RocCurve:
+        if not positives.any():
+            raise NumericError(f"ROC undefined at t={t:g}: no positive cases")
+        if not negatives.any():
+            raise NumericError(f"ROC undefined at t={t:g}: no negative controls")
+        s_at_t = S[:, idx] if idx >= 0 else np.ones(data.n_observations)
+        counter = _RankCounter(1.0 - s_at_t, "event-by-t score")
+        every_level = np.arange(len(counter.levels))
+        n_pos, n_neg = int(positives.sum()), int(negatives.sum())
+        pos_below, _ = counter.below_and_tied(positives, every_level)
+        neg_below, _ = counter.below_and_tied(negatives, every_level)
+        return RocCurve(
+            time=t,
+            fpr=np.append((n_neg - neg_below) / n_neg, 0.0),
+            tpr=np.append((n_pos - pos_below) / n_pos, 0.0),
+            thresholds=np.append(counter.levels, np.inf),
+        )
+
+    return score
+
+
 def roc_at_time(explainer: Explainer, data: SurvivalDataset, t: float) -> RocCurve:
     """ROC curve treating the event-by-t probability as a classifier score.
 
@@ -290,32 +320,8 @@ def roc_at_time(explainer: Explainer, data: SurvivalDataset, t: float) -> RocCur
     rank histograms: O(n log n) time and O(n) memory. A non-finite score
     raises NumericError naming its row.
     """
-    t = float(t)
-    if not np.isfinite(t):
-        raise InputError("evaluation time must be finite")
-    S = explainer.predict(data.features, "survival")
-    idx = int(np.searchsorted(explainer.grid.points, t, side="right")) - 1
-    s_at_t = S[:, idx] if idx >= 0 else np.ones(data.n_observations)
-    score = 1.0 - s_at_t
-
-    positives = (data.events == 1) & (data.times <= t)
-    negatives = data.times > t
-    if not positives.any():
-        raise NumericError(f"ROC undefined at t={t:g}: no positive cases")
-    if not negatives.any():
-        raise NumericError(f"ROC undefined at t={t:g}: no negative controls")
-
-    counter = _RankCounter(score, "event-by-t score")
-    every_level = np.arange(len(counter.levels))
-    n_pos, n_neg = int(positives.sum()), int(negatives.sum())
-    pos_below, _ = counter.below_and_tied(positives, every_level)
-    neg_below, _ = counter.below_and_tied(negatives, every_level)
-    return RocCurve(
-        time=t,
-        fpr=np.append((n_neg - neg_below) / n_neg, 0.0),
-        tpr=np.append((n_pos - pos_below) / n_pos, 0.0),
-        thresholds=np.append(counter.levels, np.inf),
-    )
+    score = _roc_scorer(explainer.grid, data, t)
+    return score(explainer.predict(data.features, "survival"))
 
 
 def _check_loss_name(metric_name) -> None:

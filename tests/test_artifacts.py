@@ -2,9 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from survival_explain import InputError
-from survival_explain.artifacts import jsonify
+from survival_explain.artifacts import jsonify, write_artifact
 
 
 def elementwise_jsonify(value):
@@ -72,3 +73,41 @@ class TestJsonify:
     def test_unsupported_element_rejected(self):
         with pytest.raises(InputError, match="complex"):
             jsonify(np.array([1 + 2j]))
+
+
+# JSON values as jsonify leaves them: str keys, and lists that hold scalars,
+# containers or both.
+TEXT = st.text(st.characters(codec="utf-8"), max_size=6) | st.sampled_from(["", "é", "ü", "名", "\u2028", '"\\'])
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**64, -(2**70), 10**30])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e308, 0.1])
+    | TEXT
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(TEXT, children, max_size=5),
+    max_leaves=40,
+)
+
+
+class TestWriteArtifact:
+    @settings(deadline=None, max_examples=300)
+    @given(value=JSON_VALUES)
+    def test_writes_what_the_standard_encoder_writes(self, tmp_path_factory, value):
+        path = tmp_path_factory.mktemp("artifacts") / "value.json"
+        write_artifact(path, value)
+        assert path.read_bytes() == (dumped(value) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), [1.0, float("inf")], {"a": [[0.5], {"b": -float("inf")}]}, {"c": float("nan")}],
+        ids=["nan", "inf-in-list", "inf-nested", "nan-in-dict"],
+    )
+    def test_non_finite_floats_are_refused(self, tmp_path, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_artifact(tmp_path / "bad.json", value)
+        assert not (tmp_path / "bad.json").exists()

@@ -8,7 +8,15 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from survival_explain import brier_score, explain, fit_cox
+from survival_explain import (
+    Explainer,
+    brier_score,
+    cd_auc,
+    concordance_index,
+    explain,
+    fit_cox,
+    roc_at_time,
+)
 from survival_explain.artifacts import TOOL_VERSION
 from survival_explain.cli import main
 from survival_explain.ingest import ingest_csv
@@ -112,6 +120,18 @@ class TestResultPayloads:
         assert cli("fit", str(blank_csv), tmp_path / "blank") == 0
         want = load_artifact(tmp_path / "clean", "fit")["result"]
         assert load_artifact(tmp_path / "blank", "fit")["result"] == want
+
+    def test_fit_on_a_csv_starting_with_blank_lines_matches_the_clean_file(
+        self, corpus_csv, tmp_path
+    ):
+        with open(corpus_csv, encoding="utf-8") as handle:
+            text = handle.read()
+        lead_csv = tmp_path / "lead.csv"
+        lead_csv.write_text("\n\n" + text)
+        assert cli("fit", corpus_csv, tmp_path / "clean") == 0
+        assert cli("fit", str(lead_csv), tmp_path / "lead") == 0
+        want = load_artifact(tmp_path / "clean", "fit")["result"]
+        assert load_artifact(tmp_path / "lead", "fit")["result"] == want
 
     def test_fit_km_has_survival_curve(self, corpus_csv, tmp_path):
         cli("fit", corpus_csv, tmp_path, "--model", "km")
@@ -292,6 +312,35 @@ class TestRoundTrip:
         by_label = {curve["label"]: curve for curve in envelope["curves"]}
         reloaded = np.asarray(by_label["Brier score"]["y"], dtype=float)
         np.testing.assert_array_equal(reloaded, brier.values)
+
+    def test_performance_equals_the_metric_functions_from_one_prediction(
+        self, corpus_csv, tmp_path, monkeypatch
+    ):
+        data = ingest_csv(corpus_csv, time_column="time", event_column="event")
+        explainer = explain(fit_cox(data), data)
+        rows = []
+        survival_matrix = Explainer.survival_matrix
+        monkeypatch.setattr(Explainer, "survival_matrix",
+                            lambda self, X: rows.append(len(X)) or survival_matrix(self, X))
+        cli("performance", corpus_csv, tmp_path, "--at-time", "4.0")
+        # the explainer's one-row construction probe, then one prediction
+        assert rows == [1, data.n_observations]
+        result = load_artifact(tmp_path, "performance")["result"]
+
+        def exact(values):
+            return np.asarray([np.nan if v is None else v for v in values], dtype=float)
+
+        brier, auc = brier_score(explainer, data), cd_auc(explainer, data)
+        roc = roc_at_time(explainer, data, 4.0)
+        assert exact(result["brier"]["values"]).tobytes() == brier.values.tobytes()
+        assert result["brier"]["integrated"] == brier.integrated
+        assert exact(result["cd_auc"]["values"]).tobytes() == auc.values.tobytes()
+        assert result["cd_auc"]["integrated"] == auc.integrated
+        assert result["concordance_index"] == concordance_index(explainer, data)
+        for field in ("fpr", "tpr"):
+            assert exact(result["roc"][field]).tobytes() == getattr(roc, field).tobytes()
+        assert exact(result["roc"]["thresholds"][:-1]).tobytes() == roc.thresholds[:-1].tobytes()
+        assert result["roc"]["auc"] == roc.trapezoid_auc()
 
     def test_predict_values_reload_bit_exact(self, corpus_csv, tmp_path):
         cli("predict", corpus_csv, tmp_path, "--row", "2")

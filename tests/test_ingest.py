@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from survival_explain import InputError
-from survival_explain.ingest import _BLOCK_ROWS, ingest_csv
+from survival_explain import InputError, ingest
+from survival_explain.ingest import ingest_csv
 
 
 def write_csv(path, text):
@@ -152,6 +152,24 @@ class TestBlankLines:
         with pytest.raises(InputError, match="no data rows"):
             ingest_csv(path, time_column="time", event_column="event")
 
+    def test_blank_lines_before_header_are_skipped(self, tmp_path):
+        clean = ingest_csv(write_csv(tmp_path / "clean.csv", GOOD_CSV), "time", "event")
+        data = ingest_csv(write_csv(tmp_path / "lead.csv", "\n\r\n" + GOOD_CSV), "time", "event")
+        assert data.feature_names == clean.feature_names
+        np.testing.assert_array_equal(data.times, clean.times)
+        np.testing.assert_array_equal(data.events, clean.events)
+        np.testing.assert_array_equal(data.features, clean.features)
+
+    def test_rows_count_from_the_header_after_leading_blank_lines(self, tmp_path):
+        path = write_csv(tmp_path / "lead.csv", "\n\ntime,event,age\n1,1,61\n2,0,x\n")
+        with pytest.raises(InputError, match=r"non-numeric value 'x' \(row 2, column 'age'\)"):
+            ingest_csv(path, time_column="time", event_column="event")
+
+    def test_only_blank_lines_is_an_empty_file(self, tmp_path):
+        path = write_csv(tmp_path / "blank.csv", "\n\n")
+        with pytest.raises(InputError, match="empty file, expected a header row"):
+            ingest_csv(path, time_column="time", event_column="event")
+
 
 # Cells that Python's float() reads, by column kind, and cells it rejects or
 # that break a column's rule. Digits in other scripts and underscores are
@@ -167,10 +185,15 @@ BAD = ("", "x", "nan", "inf", "1e400")
 FAULTS = (*BAD, "-1", "2", "short")
 
 
-def reference_ingest(text, time_column, event_column):
+def reference_ingest(path, text, time_column, event_column):
     """Cell-by-cell reference: every rule of ``ingest_csv`` applied to one
-    cell at a time, in row and then column order."""
+    cell at a time, in row and then column order, to the CSV ``text`` of
+    the file ``path``."""
     records = list(csv.reader(io.StringIO(text, newline="")))
+    while records and not records[0]:
+        records.pop(0)
+    if not records:
+        raise InputError(f"{path}: empty file, expected a header row")
     header = records[0]
     time_idx, event_idx = header.index(time_column), header.index(event_column)
     feature_idx = [k for k in range(len(header)) if k not in (time_idx, event_idx)]
@@ -203,7 +226,7 @@ def reference_ingest(text, time_column, event_column):
         events.append(int(values[event_idx]))
         features.append([values[k] for k in feature_idx])
     if not times:
-        raise InputError("no data rows")
+        raise InputError(f"{path}: no data rows")
     return (
         np.array(times, dtype=float),
         np.array(events, dtype=int),
@@ -211,19 +234,39 @@ def reference_ingest(text, time_column, event_column):
     )
 
 
+def assert_matches_reference(directory, text, bom=False):
+    """Write ``text`` to a CSV in ``directory`` and check that ``ingest_csv``
+    gives the reference's arrays bit for bit, or its message exactly."""
+    path = str(directory / "data.csv")
+    with open(path, "wb") as handle:
+        handle.write(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
+    try:
+        expected = reference_ingest(path, text, "time", "event")
+    except InputError as error:
+        with pytest.raises(InputError) as raised:
+            ingest_csv(path, "time", "event")
+        assert str(raised.value) == str(error)
+        return
+    result = ingest_csv(path, "time", "event")
+    for got, want in zip((result.times, result.events, result.features), expected):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.flags["C_CONTIGUOUS"]
+
+
 @st.composite
-def block_spanning_csvs(draw, kind):
-    """CSV text of more than two parse blocks of valid cells, with one
-    ``kind`` of fault (a bad cell, a negative time, a 2-valued event or a
-    short row; None for none) and up to one more, and up to three blank
-    lines, placed anywhere."""
-    n_rows = draw(st.integers(2 * _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS))
+def long_csvs(draw, kind):
+    """CSV text of 1 025 to 1 536 rows of valid cells, with one ``kind`` of
+    fault (a bad cell, a negative time, a 2-valued event or a short row;
+    None for none) and up to one more, and up to three blank lines, placed
+    anywhere."""
+    n_rows = draw(st.integers(1025, 1536))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = [np.array(VALID[name])[rng.integers(len(VALID[name]), size=n_rows)]
                for name in HEADER]
     rows = [list(row) for row in zip(*columns)]
-    # the rows come from the seeded generator, so they spread over every
-    # block; rows are shortened last, so every column index stays in range
+    # the rows come from the seeded generator, so they spread over the whole
+    # file; rows are shortened last, so every column index stays in range
     kinds = [kind] + draw(st.lists(st.sampled_from(FAULTS), max_size=1)) if kind else []
     for fault in sorted(kinds, key=lambda fault: fault == "short"):
         row = rows[rng.integers(n_rows)]
@@ -244,18 +287,81 @@ class TestBlockParsing:
     @settings(deadline=None, max_examples=12)
     @given(data=st.data())
     def test_matches_cell_by_cell_reference(self, tmp_path_factory, kind, data):
-        text = data.draw(block_spanning_csvs(kind))
-        path = tmp_path_factory.mktemp("blocks") / "data.csv"
-        path.write_bytes(text.encode("utf-8"))
-        try:
-            expected = reference_ingest(text, "time", "event")
-        except InputError as error:
-            with pytest.raises(InputError) as raised:
-                ingest_csv(str(path), "time", "event")
-            assert str(raised.value) == str(error)
-            return
-        result = ingest_csv(str(path), "time", "event")
-        for got, want in zip((result.times, result.events, result.features), expected):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-            assert got.flags["C_CONTIGUOUS"]
+        text = data.draw(long_csvs(kind))
+        assert_matches_reference(tmp_path_factory.mktemp("blocks"), text)
+
+
+LINE_ENDINGS = ("\n", "\r\n", "\r")
+
+# Cells numpy's reader converts as float() does, quoted ones included.
+LOADABLE = {
+    "time": ("0", "7.75", " 3 ", "1e2", "-0", '"12"', "+5", ".5", '"4\n"'),
+    "event": ("0", "1", "1.0", " 0 ", "-0", '"1"'),
+    "x": ("61", "-2.5", "1E-3", "5.", '"0.25"', "\u00a04", "1e-400", "-0", '" 7"'),
+}
+
+# Cells and lines on which numpy's reader and the cell loop could part ways:
+# quotes, comment marks, blanks, non-finite values, float() syntax numpy
+# refuses, ASCII separators numpy strips, and values a column's rule refuses.
+EDGE_CELLS = (
+    '"1"', '"1"2', '" 1"', '"1,5"', '"3\r\n"', "#", "1#2", "", " ", "inf", "nan", "1e400",
+    "-0", "1_0", "١٢", "\x1c1", "1\x1f", "x", "-1", "2",
+)
+EDGE_LINES = ("", " ", "\t", "#", "#,1,1")
+
+
+def csv_text(draw, lines):
+    """``lines`` joined with drawn line endings, after up to two blank lines."""
+    lines = [""] * draw(st.integers(0, 2)) + lines
+    endings = draw(st.lists(st.sampled_from(LINE_ENDINGS), min_size=len(lines),
+                            max_size=len(lines)))
+    return "".join(line + ending for line, ending in zip(lines, endings))
+
+
+@st.composite
+def loadable_csvs(draw):
+    """Valid CSV text of loadable cells, columns in any order, with blank
+    lines and mixed line endings."""
+    header = draw(st.permutations(["time", "event", "x", "y"]))
+    row = st.tuples(*(st.sampled_from(LOADABLE.get(name, LOADABLE["x"])) for name in header))
+    rows = draw(st.lists(st.one_of(row.map(",".join), st.just("")), min_size=1, max_size=60))
+    rows.append(",".join(draw(row)))
+    return csv_text(draw, [",".join(header)] + rows)
+
+
+@st.composite
+def edge_csvs(draw):
+    """Loadable CSV text with one or two edges put in: an edge cell, an edge
+    line, or a row of the wrong width, in one row or in every row."""
+    columns = [st.sampled_from(LOADABLE[name]) for name in ("time", "event", "x")]
+    rows = [list(row) for row in draw(st.lists(st.tuples(*columns), min_size=1, max_size=6))]
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(0, len(rows) - 1))
+        edge = draw(st.sampled_from(("cell", "line", "width")))
+        if edge == "cell":
+            rows[k][draw(st.integers(0, len(rows[k]) - 1))] = draw(st.sampled_from(EDGE_CELLS))
+        elif edge == "line":
+            rows.insert(k, [draw(st.sampled_from(EDGE_LINES))])
+        else:
+            width = draw(st.sampled_from((2, 4)))
+            every = draw(st.booleans())
+            rows = [(row + ["1"])[:width] if every or j == k else row
+                    for j, row in enumerate(rows)]
+    return csv_text(draw, ["time,event,x"] + [",".join(row) for row in rows])
+
+
+class TestLoadedTables:
+    @settings(deadline=None, max_examples=150)
+    @given(text=loadable_csvs(), bom=st.booleans())
+    def test_loadable_files_skip_the_cell_loop(self, tmp_path_factory, text, bom):
+        calls = []
+        cell_loop = ingest._parse_cells
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_parse_cells", lambda *args: calls.append(args) or cell_loop(*args))
+            assert_matches_reference(tmp_path_factory.mktemp("loadable"), text, bom)
+        assert not calls
+
+    @settings(deadline=None, max_examples=600)
+    @given(text=edge_csvs(), bom=st.booleans())
+    def test_edge_cases_match_cell_by_cell_reference(self, tmp_path_factory, text, bom):
+        assert_matches_reference(tmp_path_factory.mktemp("edges"), text, bom)

@@ -425,26 +425,25 @@ def _config_echo(args) -> dict:
     return {key: value for key, value in vars(args).items() if key != "command"}
 
 
-def _write_svg(envelope: dict, target: Path, source: str) -> None:
-    """Render an envelope's curves to ``target``; ``source`` opens the error when it has none."""
+def _svg_document(envelope: dict, source: str) -> str:
+    """Render an envelope's curves; ``source`` opens the error when it has none."""
     if not envelope.get("curves"):
         raise InputError(f"{source} no curve data; plottable commands: {PLOTTABLE}")
     meta = envelope.get("plot") or {}
-    document = render_line_chart(
+    return render_line_chart(
         envelope["curves"],
         title=envelope.get("command", ""),
         x_label=meta.get("x_label", "time"),
         y_label=meta.get("y_label", "value"),
     )
-    target.write_text(document, encoding="utf-8")
 
 
 def run(args) -> None:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.command == "plot":
-        target = out_dir / (Path(args.artifact).stem + ".svg")
-        _write_svg(read_artifact(args.artifact), target, f"artifact {args.artifact} has")
+        document = _svg_document(read_artifact(args.artifact), f"artifact {args.artifact} has")
+        (out_dir / (Path(args.artifact).stem + ".svg")).write_text(document, encoding="utf-8")
         return
 
     data = ingest_csv(args.data, args.time_col, args.event_col)
@@ -460,9 +459,11 @@ def run(args) -> None:
     envelope = build_envelope(args.command, _config_echo(args), result, grid=grid, curves=curves)
     if curves is not None and meta is not None:
         envelope["plot"] = jsonify(meta)
+    # render first, so a refused --svg leaves no artifact behind
+    document = _svg_document(envelope, f"command {args.command!r} produced") if args.svg else None
     write_artifact(out_dir / f"{args.command}.json", envelope)
-    if args.svg:
-        _write_svg(envelope, out_dir / f"{args.command}.svg", f"command {args.command!r} produced")
+    if document is not None:
+        (out_dir / f"{args.command}.svg").write_text(document, encoding="utf-8")
 
 
 def main(argv=None) -> int:

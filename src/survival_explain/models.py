@@ -1,8 +1,9 @@
 """Reference survival models: Cox proportional hazards, Weibull AFT, Kaplan-Meier.
 
 Both fittable models are maximized by Newton-Raphson with step-halving over
-one prepared objective per model; the Cox objective sorts the risk sets once
-per fit. Event-time ties are handled with the Breslow approximation throughout.
+one prepared concave objective per model; the Cox objective sorts the risk
+sets once per fit. Event-time ties are handled with the Breslow approximation
+throughout.
 """
 
 from __future__ import annotations
@@ -119,43 +120,38 @@ def cox_hessian(beta, times, events, features) -> np.ndarray:
 # Weibull AFT log-likelihood and derivatives
 # ---------------------------------------------------------------------------
 
-# A trial step can push the log-shape past exp's range. The log-likelihood
-# and its derivatives then come out non-finite, quietly, and the
-# step-halving in _newton_maximize rejects the step.
-_QUIET_OVERFLOW = {"over": "ignore", "invalid": "ignore"}
+# A trial step can make the shape non-positive or push exp(w) past a double's
+# range. The log-likelihood and its derivatives then come out non-finite,
+# quietly, and the step-halving in _newton_maximize rejects the step.
+_QUIET_OVERFLOW = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 def _weibull_objective(times, events, features):
     """Return ``evaluate(params, derivatives=True)``, called like the Cox one.
 
-    ``params`` is ``(log_shape, intercept, *coefficients)``; each call works
-    out k, w and z once."""
+    ``params`` is theta = (k, k*b, k*beta) for shape k, intercept b and
+    coefficients beta. With u_i = (log t_i, -1, -x_i), w_i = u_i . theta is
+    linear in theta, so the log-likelihood E log k + sum(e w - e log t - exp w)
+    is concave for k > 0 (E is the event count).
+    """
     log_t = np.log(times)
+    U = np.column_stack((log_t, -np.ones(len(times)), -features))
     e = events
-    p = features.shape[1]
+    n_events = float(e.sum())
+    event_log_t = float(e @ log_t)
 
     def evaluate(params, derivatives=True):
-        params = np.asarray(params, dtype=float)
-        a, b, beta = params[0], params[1], params[2:]
+        theta = np.asarray(params, dtype=float)
         with np.errstate(**_QUIET_OVERFLOW):
-            k = np.exp(a)
-            w = k * (log_t - (b + features @ beta))
+            w = U @ theta
             z = np.exp(w)
-            ll = float((e * (a + w - log_t) - z).sum())
+            ll = float(n_events * np.log(theta[0]) + e @ w - event_log_t - z.sum())
             if not derivatives:
                 return ll
-            resid = k * (z - e)
-            g_a = (e * (1.0 + w) - z * w).sum()
-            grad = np.concatenate(([g_a, resid.sum()], resid @ features))
-            H = np.empty((p + 2, p + 2))
-            H[0, 0] = (e * w - z * w * (w + 1.0)).sum()
-            cross = k * (z * (w + 1.0) - e)
-            H[0, 1] = H[1, 0] = cross.sum()
-            H[0, 2:] = H[2:, 0] = cross @ features
-            kk_z = (k * k) * z
-            H[1, 1] = -kk_z.sum()
-            H[1, 2:] = H[2:, 1] = -(kk_z @ features)
-            H[2:, 2:] = -(features.T * kk_z) @ features
+            grad = (e - z) @ U
+            grad[0] += n_events / theta[0]
+            H = -(U.T * z) @ U
+            H[0, 0] -= n_events / theta[0] ** 2
         return ll, grad, H
 
     return evaluate
@@ -164,17 +160,23 @@ def _weibull_objective(times, events, features):
 def weibull_aft_loglik(params, times, events, features) -> float:
     """Right-censored Weibull AFT log-likelihood.
 
-    ``params`` is ``(log_shape, intercept, *coefficients)``: an event at t
-    contributes the log density, a censoring contributes log S(t).
+    ``params`` is ``(shape, shape * intercept, *(shape * coefficients))``: an
+    event at t contributes the log density, a censoring contributes log S(t).
+    The log-likelihood is concave in these coordinates and non-finite for a
+    shape <= 0.
     """
     return _weibull_objective(times, events, features)(params, derivatives=False)
 
 
 def weibull_aft_gradient(params, times, events, features) -> np.ndarray:
+    """Gradient of ``weibull_aft_loglik`` in its (shape, shape * intercept,
+    shape * coefficients) coordinates."""
     return _weibull_objective(times, events, features)(params)[1]
 
 
 def weibull_aft_hessian(params, times, events, features) -> np.ndarray:
+    """Hessian of ``weibull_aft_loglik`` in its (shape, shape * intercept,
+    shape * coefficients) coordinates."""
     return _weibull_objective(times, events, features)(params)[2]
 
 
@@ -197,22 +199,18 @@ def _halving_search(theta, ll, objective, step):
     return None
 
 
-def _newton_maximize(theta, objective, guard_slice):
-    """Maximize by damped Newton steps.
+def _newton_maximize(theta, objective):
+    """Maximize a concave objective by Newton steps with step-halving.
 
     ``objective(theta)`` returns (log-likelihood, gradient, Hessian), and
     step-halving trials ask it for the log-likelihood alone. Returns (theta,
-    converged). ``guard_slice`` selects the entries checked against the
-    divergence bound. An indefinite Hessian can turn the Newton
-    step into a descent direction; when step-halving fails, the step is
-    recomputed with an escalating Levenberg shift, which bends it toward
-    plain gradient ascent. Raises FitError only when no damping level
-    recovers a finite, non-decreasing log-likelihood.
+    converged). When no halving keeps the log-likelihood finite and
+    non-decreasing, which for a concave objective happens only where it
+    flattens toward infinity, the fit stops unconverged.
     """
     ll = objective(theta, derivatives=False)
     if not np.isfinite(ll):
         raise FitError("log-likelihood not finite at the starting point")
-    eye = np.eye(len(theta))
     for _ in range(_MAX_ITER):
         _, g, H = objective(theta)
         if np.max(np.abs(g), initial=0.0) < _TOL:
@@ -222,28 +220,10 @@ def _newton_maximize(theta, objective, guard_slice):
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(-H, g, rcond=None)[0]
         found = _halving_search(theta, ll, objective, step)
-        damped = False
         if found is None:
-            damped = True
-            scale = max(1.0, float(np.max(np.abs(np.diag(H)), initial=0.0)))
-            shift = 1e-4 * scale
-            while found is None and shift <= 1e8 * scale:
-                try:
-                    step = np.linalg.solve(-H + shift * eye, g)
-                except np.linalg.LinAlgError:
-                    step = g / shift
-                found = _halving_search(theta, ll, objective, step)
-                shift *= 10.0
-        if found is None:
-            raise FitError(
-                "log-likelihood not finite (or decreasing) after step-halving"
-            )
-        theta, ll, taken = found
-        if np.max(np.abs(theta[guard_slice]), initial=0.0) > _DIVERGENCE_BOUND:
             return theta, False
-        # A heavily damped step can be tiny without being near a stationary
-        # point, so step size only signals convergence for undamped Newton.
-        if not damped and np.max(np.abs(taken), initial=0.0) < _TOL:
+        theta, ll, taken = found
+        if np.max(np.abs(taken), initial=0.0) < _TOL:
             return theta, True
     return theta, False
 
@@ -271,40 +251,43 @@ def fit_cox(data: SurvivalDataset) -> CoxModel:
     """Fit a Cox model by maximizing the Breslow partial likelihood.
 
     Features are centered internally; constant columns are uninformative and
-    receive coefficient 0. Separation is caught by a divergence guard that
-    stops once any |beta_j| exceeds 20 and flags non-convergence.
+    receive coefficient 0. Separation is caught by a divergence guard: a fit
+    that returns any |beta_j| above 20 is flagged non-converged.
     """
     means, active, X = _centered_design(data, "Cox")
     objective, baseline = _cox_objective(data.times, data.events, X)
-    theta, converged = _newton_maximize(np.zeros(X.shape[1]), objective, guard_slice=slice(None))
+    theta, converged = _newton_maximize(np.zeros(X.shape[1]), objective)
 
     beta = np.zeros(data.n_features)
     beta[active] = theta
+    converged = converged and np.max(np.abs(beta), initial=0.0) <= _DIVERGENCE_BOUND
     return CoxModel(
-        beta=beta, baseline_chf=baseline(theta), feature_means=means, converged=converged
+        beta=beta, baseline_chf=baseline(theta), feature_means=means, converged=bool(converged)
     )
 
 
 def fit_weibull_aft(data: SurvivalDataset) -> WeibullAftModel:
-    """Fit the Weibull AFT model in (log shape, intercept, coefficients).
+    """Fit the Weibull AFT model in (shape, shape * intercept, shape * coefficients),
+    where its log-likelihood is concave, from the censored exponential MLE.
 
     All observation times must be strictly positive (the likelihood needs
     log t). Constant columns are excluded and reported with coefficient 0.
+    A fit that returns any |coefficient| above 20 is flagged non-converged.
     """
     means, active, X = _centered_design(data, "Weibull AFT", positive_times=True)
     t, e = data.times, data.events
 
-    start = np.concatenate(([0.0, math.log(t.mean())], np.zeros(X.shape[1])))
-    theta, converged = _newton_maximize(
-        start, _weibull_objective(t, e, X), guard_slice=slice(2, None)
-    )
+    start = np.concatenate(([1.0, math.log(t.sum() / e.sum())], np.zeros(X.shape[1])))
+    theta, converged = _newton_maximize(start, _weibull_objective(t, e, X))
 
+    shape = float(theta[0])
     coef = np.zeros(data.n_features)
-    coef[active] = theta[2:]
+    coef[active] = theta[2:] / shape
+    converged = converged and np.max(np.abs(coef), initial=0.0) <= _DIVERGENCE_BOUND
     # undo the centering so lam(x) = exp(intercept + coef @ x) on raw features
-    intercept = float(theta[1] - coef @ means)
+    intercept = float(theta[1] / shape - coef @ means)
     return WeibullAftModel(
-        shape=math.exp(theta[0]), intercept=intercept, coefficients=coef, converged=converged
+        shape=shape, intercept=intercept, coefficients=coef, converged=bool(converged)
     )
 
 

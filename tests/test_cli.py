@@ -240,10 +240,21 @@ class TestErrorExits:
         assert cli("predict", corpus_csv, tmp_path, "--row", "99") == 2
         assert "--row 99 out of range for 30 data rows" in capsys.readouterr().err
 
-    def test_svg_on_curveless_command_exits_2(self, corpus_csv, tmp_path, capsys):
-        code = cli("lime", corpus_csv, tmp_path, "--row", "0", "--n-neighbors", "20", "--svg")
-        assert code == 2
+    @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("lime", ("--row", "0", "--n-neighbors", "20")),
+            ("diagnostics", ()),
+            ("profile2d", ("--variables", "x0", "x1", "--grid-size", "3")),
+            ("parts", ("--loss", "one_minus_cindex", "--n-permutations", "1")),
+            ("predict", ("--row", "0", "--output-type", "risk")),
+        ],
+        ids=["lime", "diagnostics", "profile2d", "parts-cindex", "predict-risk"],
+    )
+    def test_svg_on_curveless_command_exits_2(self, command, extra, corpus_csv, tmp_path, capsys):
+        assert cli(command, corpus_csv, tmp_path, *extra, "--svg") == 2
         assert "plottable commands" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("grid_size", ["-1", "0"])
     @pytest.mark.parametrize(

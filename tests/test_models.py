@@ -13,6 +13,7 @@ from survival_explain import (
     fit_weibull_aft,
     predict_survival,
 )
+from survival_explain import models
 from survival_explain.models import (
     cox_gradient,
     cox_hessian,
@@ -239,12 +240,22 @@ class TestFitCox:
         assert np.all(np.diff(fitted.baseline_chf.values) >= 0)
 
 
+def shape_scaled(log_shape_params):
+    """Map (log shape, intercept, *coefficients) to the wrappers' coordinates
+    (shape, shape * intercept, *(shape * coefficients))."""
+    params = np.asarray(log_shape_params, dtype=float)
+    shape = np.exp(params[0])
+    return np.concatenate(([shape], shape * params[1:]))
+
+
 class TestWeibullAft:
     def test_gradient_matches_finite_differences(self, cox_data):
         rng = np.random.default_rng(7)
         fn = lambda p: weibull_aft_loglik(p, cox_data.times, cox_data.events, cox_data.features)
         for _ in range(5):
-            params = np.concatenate([[rng.normal(scale=0.2)], [rng.normal(loc=1.0)], rng.normal(scale=0.3, size=2)])
+            params = shape_scaled(np.concatenate(
+                [[rng.normal(scale=0.2)], [rng.normal(loc=1.0)], rng.normal(scale=0.3, size=2)]
+            ))
             analytic = weibull_aft_gradient(params, cox_data.times, cox_data.events, cox_data.features)
             numeric = finite_difference_gradient(fn, params, h=1e-5)
             scale = max(1.0, np.abs(analytic).max())
@@ -252,7 +263,7 @@ class TestWeibullAft:
 
     def test_hessian_matches_finite_differences(self, cox_data):
         fn = lambda p: weibull_aft_loglik(p, cox_data.times, cox_data.events, cox_data.features)
-        params = np.array([0.1, 1.2, 0.3, -0.2])
+        params = shape_scaled([0.1, 1.2, 0.3, -0.2])
         analytic = weibull_aft_hessian(params, cox_data.times, cox_data.events, cox_data.features)
         numeric = finite_difference_hessian(fn, params, h=1e-3)
         scale = max(1.0, np.abs(analytic).max())
@@ -275,8 +286,9 @@ class TestWeibullAft:
         assert np.allclose(fitted.coefficients, [0.5, -0.3], atol=0.15)
 
     def test_overflowing_log_shape_gives_non_finite_not_an_exception(self, cox_data):
-        # exp(1390) overflows a double; a damped Newton step can land there,
-        # and the step-halving needs a non-finite value to reject it
+        # at shape 1390, exp(w) = exp(1390 log t - ...) overflows a double for
+        # t above about 1.7; a Newton step can land there, and the step-halving
+        # needs a non-finite value to reject it
         params = np.array([1390.0, 1.0, 0.3, -0.2])
         args = (cox_data.times, cox_data.events, cox_data.features)
         with warnings.catch_warnings():
@@ -287,6 +299,55 @@ class TestWeibullAft:
         assert not np.isfinite(loglik)
         assert gradient.shape == (4,)
         assert hessian.shape == (4, 4)
+
+    @pytest.mark.parametrize("shape", [0.0, -1.0])
+    def test_nonpositive_shape_gives_non_finite_not_an_exception(self, cox_data, shape):
+        # a Newton step can cross shape 0, and the step-halving rejects it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loglik = weibull_aft_loglik(
+                [shape, 1.0, 0.3, -0.2], cox_data.times, cox_data.events, cox_data.features
+            )
+        assert not np.isfinite(loglik)
+
+    def test_converged_only_at_a_stationary_point(self):
+        # tiny sets, some with no finite maximum; the gradient is taken in
+        # (shape, shape * intercept, shape * coefficients) on the raw features
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n, p = int(rng.integers(3, 13)), int(rng.integers(1, 4))
+            features = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-2, 2, size=p)
+            times = np.exp(rng.normal(size=n))
+            events = (rng.random(n) < 0.7).astype(int)
+            events[0] = 1
+            fitted = fit_weibull_aft(make_dataset(times, events, features))
+            if not fitted.converged:
+                continue
+            U = np.column_stack((np.log(times), -np.ones(n), -features))
+            theta = fitted.shape * np.concatenate(([1.0, fitted.intercept], fitted.coefficients))
+            gradient = (events - np.exp(U @ theta)) @ U
+            gradient[0] += events.sum() / fitted.shape
+            assert np.abs(gradient).max() < 1e-6, seed
+
+    @pytest.mark.parametrize("n, p", [(300, 6), (80, 2)])
+    def test_fit_takes_at_most_16_objective_calls(self, monkeypatch, n, p):
+        calls = []
+        objective = models._weibull_objective
+
+        def counting(times, events, features):
+            evaluate = objective(times, events, features)
+
+            def counted(params, derivatives=True):
+                calls.append(derivatives)
+                return evaluate(params, derivatives)
+
+            return counted
+
+        monkeypatch.setattr(models, "_weibull_objective", counting)
+        for seed in range(10):
+            calls.clear()
+            assert fit_weibull_aft(simulate_cohort(n, p, seed)).converged
+            assert len(calls) <= 16, seed
 
     def test_nonpositive_times_rejected(self):
         with pytest.raises(InputError):

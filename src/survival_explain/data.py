@@ -168,19 +168,19 @@ class StepCurve:
             if np.any(np.diff(self.values) < -_SHAPE_TOL):
                 raise InputError("chf curve must be nondecreasing")
 
-    def _left_default(self) -> float:
-        return 1.0 if self.kind == "survival" else 0.0
-
     def evaluate(self, t):
         """Right-continuous step evaluation at scalar or array ``t``."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], self._left_default())
-        return float(out) if out.ndim == 0 else out
+        return self._step(t, "right")
 
     def evaluate_left(self, t):
         """Left-limit evaluation, i.e. the value just before ``t``."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.times, t, side="left") - 1
-        out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], self._left_default())
+        return self._step(t, "left")
+
+    def _step(self, t, side):
+        """The value of the last step at or before ``t`` (``side`` "right") or
+        strictly before it ("left"); before the first step, 1 for survival
+        and 0 otherwise."""
+        idx = np.searchsorted(self.times, np.asarray(t, dtype=float), side=side) - 1
+        before = 1.0 if self.kind == "survival" else 0.0
+        out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], before)
         return float(out) if out.ndim == 0 else out

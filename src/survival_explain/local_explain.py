@@ -118,87 +118,59 @@ class GlobalSurvShap:
     beeswarm_data: np.ndarray
 
 
-class _Pattern:
-    """The distinct coalition rows of background rows that differ from the
-    instance on the same ``columns``.
-
-    ``take`` marks, for each subset of ``columns`` in increasing mask order,
-    the columns taken from the instance; ``index[S]`` is the subset coalition
-    S reads, the bits of S at ``columns`` packed together, or None when
-    ``columns`` is every variable and S reads row S.
-    """
-
-    def __init__(self, columns, p):
-        k = len(columns)
-        self.take = np.zeros((1 << k, p), dtype=bool)
-        self.take[:, columns] = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-        self.index = None
-        if k < p:
-            masks = np.arange(1 << p)
-            self.index = np.zeros(1 << p, dtype=np.intp)
-            for bit, column in enumerate(columns):
-                self.index |= ((masks >> column) & 1) << bit
-
-
 def _coalition_values(explainer, x, background):
     """The (2^p, T) value matrix: row S is the mean survival over
     ``background`` with the variables in coalition S taken from ``x``.
 
     Background row b differs from ``x`` only on D(b) (compared bit for bit),
-    so its row for S depends only on S ∩ D(b): it needs the 2^|D(b)| subsets
-    of D(b) predicted, not 2^p rows. Whole background-row blocks go to the
-    model, as many per call as fit in ``_STACK_CELLS`` cells and at least
-    one. A block over that budget whose D(b) is every variable is sent in
-    equal pieces within it instead, since coalition S reads its row S. Each
-    block is added to a running sum in background-row order, the ordered sum
-    ``_stacked_means`` takes over all 2^p coalition blocks, so for a row-wise
-    model the values are bit-identical to it.
+    so its row for S depends only on S ∩ D(b): it needs the 2^|D(b)| distinct
+    rows of ``masks & D(b)`` predicted, not 2^p. Each background row is one
+    unit, except that a row whose D(b) is every variable, so that coalition S
+    reads its row S, is cut into equal pieces within ``_STACK_CELLS`` cells.
+    Each model call takes as many whole units as fit in that budget, and at
+    least one. Each unit is added to a sum from zero in background-row
+    order, the ordered sum ``_stacked_means`` takes over all 2^p coalition
+    blocks, so for a row-wise model the values are bit-identical to it.
     """
     m, p = background.shape
     per_call = max(1, _STACK_CELLS // len(explainer.grid))
+    masks = np.arange(1 << p)
     differs = background.view(np.int64) != x.view(np.int64)
-    block_rows = 1 << differs.sum(axis=1)
-    _, first, pattern_of = np.unique(
-        differs @ (1 << np.arange(p)), return_index=True, return_inverse=True
-    )
-    patterns = [_Pattern(np.flatnonzero(differs[b]), p) for b in first]
-    readers = [patterns[i] for i in pattern_of]
-    total = np.empty((1 << p, len(explainer.grid)))
-    gathered = np.empty_like(total)
-    start = 0
-    while start < m:
-        stop, n_rows = start + 1, block_rows[start]
-        while stop < m and n_rows + block_rows[stop] <= per_call:
-            n_rows += block_rows[stop]
-            stop += 1
-        if n_rows > per_call and readers[start].index is None:
+    patterns, pattern_of = np.unique(differs @ (1 << np.arange(p)), return_inverse=True)
+    tables = []
+    for pattern in patterns:
+        keys, index = np.unique(masks & pattern, return_inverse=True)
+        take = ((keys[:, None] >> np.arange(p)) & 1).astype(bool)
+        tables.append((take, None if len(keys) == len(masks) else index))
+    units = []  # (background row, its take rows, its gather index, first coalition row)
+    for row, pattern in zip(background, pattern_of):
+        take, index = tables[pattern]
+        size = len(take)
+        if index is None:
             # equal pieces: a full piece then a short one made glibc trim and
             # refault the heap top on every block, 11 500 page faults per
             # p = 10 explanation against 300
-            pieces = -(-n_rows // per_call)
-            size = -(-n_rows // pieces)
-            for piece in range(0, n_rows, size):
-                take = readers[start].take[piece : piece + size]
-                predicted = explainer.predict(np.where(take, x, background[start]), "survival")
-                if start == 0:
-                    total[piece : piece + size] = predicted
-                else:
-                    total[piece : piece + size] += predicted
-            start = stop
-            continue
-        take = np.concatenate([reader.take for reader in readers[start:stop]])
-        rows = np.where(take, x, np.repeat(background[start:stop], block_rows[start:stop], axis=0))
+            pieces = -(-size // per_call)
+            size = -(-size // pieces)
+        units += [(row, take[lo : lo + size], index, lo) for lo in range(0, len(take), size)]
+    total = np.zeros((1 << p, len(explainer.grid)))
+    gathered = np.empty_like(total)
+    start = 0
+    while start < len(units):
+        stop, n_rows = start + 1, len(units[start][1])
+        while stop < len(units) and n_rows + len(units[stop][1]) <= per_call:
+            n_rows += len(units[stop][1])
+            stop += 1
+        rows = np.concatenate([np.where(take, x, row) for row, take, _, _ in units[start:stop]])
         predicted = explainer.predict(rows, "survival")
         offset = 0
-        for b in range(start, stop):
-            block = predicted[offset : offset + block_rows[b]]
-            offset += block_rows[b]
-            if readers[b].index is not None:
-                block = np.take(block, readers[b].index, axis=0, out=gathered, mode="clip")
-            if b == 0:
-                total[:] = block
+        for _, take, index, lo in units[start:stop]:
+            block = predicted[offset : offset + len(take)]
+            offset += len(take)
+            if index is None:
+                total[lo : lo + len(take)] += block
             else:
-                total += block
+                total += np.take(block, index, axis=0, out=gathered, mode="clip")
         start = stop
     total /= m
     return total
@@ -213,9 +185,8 @@ def _exact_shapley(explainer, x, background):
     """
     p = len(x)
     masks = np.arange(1 << p)
-    take = ((masks[:, None] >> np.arange(p)) & 1).astype(bool)
     values = _coalition_values(explainer, x, background)
-    sizes = take.sum(axis=1)
+    sizes = np.bitwise_count(masks)
     weights = np.array(
         [
             math.factorial(size) * math.factorial(p - size - 1) / math.factorial(p)
@@ -224,7 +195,7 @@ def _exact_shapley(explainer, x, background):
     )
     phi = np.empty((p, values.shape[1]))
     for j in range(p):
-        without = masks[~take[:, j]]
+        without = masks[(masks >> j) & 1 == 0]
         gains = values[without | (1 << j)] - values[without]
         phi[j] = (weights[sizes[without], None] * gains).sum(axis=0)
     # a copy, so a kept result does not hold the whole value matrix alive

@@ -203,10 +203,12 @@ class CountingBatchModel:
     def __init__(self):
         self.calls = 0
         self.rows = 0
+        self.call_rows = []
 
     def __call__(self, X, grid):
         self.calls += 1
         self.rows += len(X)
+        self.call_rows.append(len(X))
         risk = np.exp(0.3 * X[:, 0] - 0.2 * X[:, 1] + 0.05 * X[:, 2:].sum(axis=1))
         return np.exp(-np.outer(risk, grid.points) / 10.0)
 
@@ -220,6 +222,7 @@ class TestStackedBatches:
         model = CountingBatchModel()
         explainer = Explainer(model, data, default_time_grid(data))
         model.calls = model.rows = 0
+        model.call_rows.clear()
         blocks_per_call = max(1, _STACK_CELLS // (100 * len(explainer.grid)))
         return data, explainer, model, 100 * blocks_per_call
 
@@ -237,6 +240,20 @@ class TestStackedBatches:
         per_call = _STACK_CELLS // len(explainer.grid)
         assert math.ceil(rows / per_call) <= model.calls
         assert model.calls <= sum(math.ceil(r / per_call) for r in block_rows)
+
+    def test_exact_survshap_cuts_every_variable_blocks_into_equal_pieces(self, counted):
+        data, explainer, model, _ = counted
+        predict_parts_survshap(explainer, data.features[0], method="exact")
+        per_call = _STACK_CELLS // len(explainer.grid)
+        assert max(model.call_rows) <= per_call
+        # every background row but x's own differs from x on all ten
+        # variables; its 2^10 rows come in the fewest equal pieces the budget
+        # allows, never a full piece and a remainder
+        pieces = math.ceil((1 << 10) / per_call)
+        assert pieces > 1 and (1 << 10) % pieces == 0
+        piece = (1 << 10) // pieces
+        # x's own one-row block shares a call with one piece
+        assert sorted(model.call_rows) == [piece] * (99 * pieces - 1) + [piece + 1]
 
     def test_two_variable_profile_batches_its_grid(self, counted):
         _, explainer, model, rows_per_call = counted
@@ -290,6 +307,40 @@ class TestDistinctCoalitionRows:
                     reference = predict_parts_survshap(explainer, x, n_background, method="exact")
                 assert np.array_equal(result.phi, reference.phi)
                 assert np.array_equal(result.baseline, reference.baseline)
+
+    def test_over_budget_blocks_are_gathered_whole_at_twelve_variables(self, monkeypatch):
+        # from p = 11 on, a block can outgrow the budget while D(b) leaves out
+        # a variable; it is then gathered, so it goes whole, in a call alone
+        p = 12
+        data = simulate_cohort(120, p, seed=p)
+        explainer = explain(fit_cox(data), data)
+        per_call = _STACK_CELLS // len(explainer.grid)
+        background = background_sample(data.features, 17)
+        outside = background[3].copy()
+        outside[::2] += 0.005  # the continuous columns
+        call_rows = []
+        predict = explainer.predict
+
+        def recording(X, output_type):
+            call_rows.append(len(X))
+            return predict(X, output_type)
+
+        monkeypatch.setattr(explainer, "predict", recording)
+        for x in (background[3], outside):
+            block_rows = 1 << (background != x).sum(axis=1)
+            over = block_rows[(block_rows > per_call) & (block_rows < 1 << p)]
+            assert len(over) > 0
+            call_rows.clear()
+            values = _coalition_values(explainer, x, background)
+            assert sum(call_rows) == block_rows.sum()
+            assert sorted(rows for rows in call_rows if rows > per_call) == sorted(over)
+            assert np.array_equal(values, all_rows_values(explainer, x, background))
+            result = predict_parts_survshap(explainer, x, 17, method="exact")
+            with monkeypatch.context() as patched:
+                patched.setattr(local_explain, "_coalition_values", all_rows_values)
+                reference = predict_parts_survshap(explainer, x, 17, method="exact")
+            assert np.array_equal(result.phi, reference.phi)
+            assert np.array_equal(result.baseline, reference.baseline)
 
     def test_per_row_callable_sees_each_distinct_row_once(self):
         data = simulate_cohort(150, 6, seed=4)

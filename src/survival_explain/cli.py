@@ -11,6 +11,7 @@ undefined-result error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -50,7 +51,10 @@ PLOTTABLE = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree, built on first use and shared by every later
+    call; parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="survival-explain",
         description="Model-agnostic explanations, metrics, and diagnostics for survival models.",
@@ -58,16 +62,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {TOOL_VERSION}")
     commands = parser.add_subparsers(dest="command", required=True)
 
+    # the options every model command takes, declared once
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--data", required=True, help="CSV file with a header row")
+    shared.add_argument("--time-col", required=True, help="name of the time column")
+    shared.add_argument("--event-col", required=True, help="name of the 0/1 event column")
+    shared.add_argument("--model", choices=("km", "cox", "weibull_aft"), default="cox")
+    shared.add_argument("--out", default=".", help="output directory (default: current)")
+    shared.add_argument("--seed", type=int, default=42)
+    shared.add_argument("--svg", action="store_true", help="also render the curves to SVG")
+
     def model_command(name, help_text):
-        sub = commands.add_parser(name, help=help_text)
-        sub.add_argument("--data", required=True, help="CSV file with a header row")
-        sub.add_argument("--time-col", required=True, help="name of the time column")
-        sub.add_argument("--event-col", required=True, help="name of the 0/1 event column")
-        sub.add_argument("--model", choices=("km", "cox", "weibull_aft"), default="cox")
-        sub.add_argument("--out", default=".", help="output directory (default: current)")
-        sub.add_argument("--seed", type=int, default=42)
-        sub.add_argument("--svg", action="store_true", help="also render the curves to SVG")
-        return sub
+        return commands.add_parser(name, help=help_text, parents=[shared])
 
     model_command("fit", "fit a model and dump its parameters")
 
@@ -231,6 +237,15 @@ def _handle_performance(args, explainer, data):
     return result, *_time_curves(explainer, labels, [brier.values, auc.values], "metric value")
 
 
+def _replicate_standard_error(replicates):
+    """Standard error of the mean permuted loss; None for one replicate,
+    whose spread is undefined."""
+    n = len(replicates)
+    if n < 2:
+        return None
+    return replicates.std(axis=0, ddof=1) / np.sqrt(n)
+
+
 def _handle_parts(args, explainer, data):
     importances = model_parts(
         explainer,
@@ -245,6 +260,7 @@ def _handle_parts(args, explainer, data):
             "variable": item.variable,
             "importance": item.importance,
             "permuted_loss": item.permuted_loss,
+            "standard_error": _replicate_standard_error(item.replicate_losses),
         }
         if args.ratio:
             baseline = np.asarray(item.baseline_loss, dtype=float)

@@ -1,13 +1,17 @@
 """End-to-end CLI checks: exit codes, artifact schema, determinism, round-trips."""
 
+import argparse
+import importlib
 import json
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import survival_explain
 from survival_explain import (
     Explainer,
     brier_score,
@@ -15,6 +19,7 @@ from survival_explain import (
     concordance_index,
     explain,
     fit_cox,
+    model_parts,
     roc_at_time,
 )
 from survival_explain.artifacts import TOOL_VERSION
@@ -40,8 +45,8 @@ def corpus_csv(tmp_path_factory):
     return dataset_to_csv(data, tmp_path_factory.mktemp("data") / "corpus.csv")
 
 
-def cli(command, csv_path, out_dir, *extra):
-    argv = [
+def cli_argv(command, csv_path, out_dir, *extra):
+    return [
         command,
         "--data", csv_path,
         "--time-col", "time",
@@ -49,7 +54,10 @@ def cli(command, csv_path, out_dir, *extra):
         "--out", str(out_dir),
         *extra,
     ]
-    return main(argv)
+
+
+def cli(command, csv_path, out_dir, *extra):
+    return main(cli_argv(command, csv_path, out_dir, *extra))
 
 
 def load_artifact(out_dir, command):
@@ -170,6 +178,33 @@ class TestResultPayloads:
         )
         assert code == 0
         assert (tmp_path / "parts.svg").exists()
+
+    @pytest.mark.parametrize("loss", ["brier_curve", "one_minus_cindex"])
+    def test_parts_standard_error_is_the_replicate_spread(self, loss, corpus_csv, tmp_path):
+        cli("parts", corpus_csv, tmp_path, "--loss", loss, "--n-permutations", "4")
+        entries = load_artifact(tmp_path, "parts")["result"]["variables"]
+        data = ingest_csv(corpus_csv, time_column="time", event_column="event")
+        items = model_parts(explain(fit_cox(data), data), loss=loss, n_permutations=4, seed=42)
+        assert [entry["variable"] for entry in entries] == [item.variable for item in items]
+        for entry, item in zip(entries, items):
+            mean = sum(item.replicate_losses) / 4
+            variance = sum((replicate - mean) ** 2 for replicate in item.replicate_losses) / 3
+            expected = np.sqrt(variance) / 2
+            if loss == "one_minus_cindex":
+                assert isinstance(entry["standard_error"], float)
+            else:
+                assert len(entry["standard_error"]) == len(entry["importance"])
+            # null marks a grid point where the Brier score is undefined
+            reported = np.asarray(entry["standard_error"], dtype=float)
+            np.testing.assert_allclose(reported, expected, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("loss", ["brier_curve", "brier_integrated"])
+    def test_parts_standard_error_is_null_for_one_permutation(self, loss, corpus_csv, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cli("parts", corpus_csv, tmp_path, "--loss", loss, "--n-permutations", "1")
+        entries = load_artifact(tmp_path, "parts")["result"]["variables"]
+        assert [entry["standard_error"] for entry in entries] == [None, None]
 
     def test_shap_standard_error_only_for_the_sampler(self, corpus_csv, tmp_path):
         cli("shap", corpus_csv, tmp_path, "--method", "sampling", "--n-permutations", "5")
@@ -416,3 +451,54 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"survival-explain {TOOL_VERSION}"
+
+
+class TestInProcessCalls:
+    """``main`` called many times in one process keeps no state between calls."""
+
+    def test_two_calls_construct_the_parser_once(self, corpus_csv, tmp_path, monkeypatch):
+        # a fresh copy of the module, so its first call finds nothing built yet
+        monkeypatch.delitem(sys.modules, "survival_explain.cli")
+        monkeypatch.delattr(survival_explain, "cli", raising=False)
+        fresh = importlib.import_module("survival_explain.cli")
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        argv = cli_argv("fit", corpus_csv, tmp_path)
+        assert fresh.main(argv) == 0
+        built = len(progs)
+        assert fresh.main(argv) == 0
+        assert built > 0
+        assert len(progs) == built
+        assert progs.count("survival-explain") == 1
+
+    def test_a_repeated_option_does_not_carry_into_the_next_call(self, corpus_csv, tmp_path):
+        cli("parts", corpus_csv, tmp_path, "--variable", "x0", "--n-permutations", "1")
+        first = load_artifact(tmp_path, "parts")
+        assert first["config"]["variable"] == ["x0"]
+        assert [entry["variable"] for entry in first["result"]["variables"]] == ["x0"]
+        cli("parts", corpus_csv, tmp_path, "--n-permutations", "1")
+        second = load_artifact(tmp_path, "parts")
+        assert second["config"]["variable"] is None
+        assert [entry["variable"] for entry in second["result"]["variables"]] == ["x0", "x1"]
+
+    def test_calls_that_exit_leave_nothing_for_the_next(self, corpus_csv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(["fit", "--data", corpus_csv, "--bogus"])
+        assert refused.value.code == 2
+        with pytest.raises(SystemExit) as version:
+            main(["--version"])
+        assert version.value.code == 0
+        capsys.readouterr()
+        argv = cli_argv("fit", corpus_csv, tmp_path)
+        subprocess.run([sys.executable, "-m", "survival_explain", *argv], check=True)
+        artifact = tmp_path / "fit.json"
+        fresh = artifact.read_bytes()
+        artifact.unlink()
+        assert main(argv) == 0
+        assert artifact.read_bytes() == fresh

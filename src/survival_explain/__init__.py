@@ -4,8 +4,8 @@ Wrap any model that can emit survival functions in an :class:`Explainer`
 via :func:`explain`, then feed it to the metric, profile, importance, and
 attribution functions. Built-in Kaplan-Meier, Cox, and Weibull AFT models
 are used directly; anything else plugs in as a function returning survival
-probabilities over a time grid, per row through :func:`explain` or as an
-(n, T) batch through ``Explainer(model=f, ...)``. Function output is checked
+probabilities over a time grid, a (T,) vector per row through :func:`explain`
+or an (n, T) batch through ``Explainer(model=f, ...)``. Function output is checked
 on every call, and a bad row fails with an error naming it.
 """
 
@@ -52,7 +52,6 @@ from .models import (
     fit_cox,
     fit_kaplan_meier,
     fit_weibull_aft,
-    predict_survival,
 )
 
 __version__ = TOOL_VERSION
@@ -100,6 +99,5 @@ __all__ = [
     "predict_parts_survlime",
     "predict_parts_survshap",
     "predict_profile",
-    "predict_survival",
     "roc_at_time",
 ]

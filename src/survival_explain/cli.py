@@ -41,7 +41,7 @@ from .models import (
     fit_cox,
     fit_kaplan_meier,
     fit_weibull_aft,
-    predict_survival,
+    predict_survival_matrix,
 )
 from .svg import render_line_chart
 
@@ -195,8 +195,8 @@ def _fit_payload(model, data):
         except InputError:
             curves, meta = None, None
         else:
-            baseline = predict_survival(model, np.zeros(data.n_features), grid)
-            curves = [{"label": "baseline survival", "x": grid.points, "y": baseline.values}]
+            baseline = predict_survival_matrix(model, np.zeros((1, data.n_features)), grid)[0]
+            curves = [{"label": "baseline survival", "x": grid.points, "y": baseline}]
             meta = {"x_label": "time", "y_label": "survival probability"}
     result = {"model": type(model).__name__, "converged": getattr(model, "converged", True),
               "parameters": parameters}
@@ -237,15 +237,6 @@ def _handle_performance(args, explainer, data):
     return result, *_time_curves(explainer, labels, [brier.values, auc.values], "metric value")
 
 
-def _replicate_standard_error(replicates):
-    """Standard error of the mean permuted loss; None for one replicate,
-    whose spread is undefined."""
-    n = len(replicates)
-    if n < 2:
-        return None
-    return replicates.std(axis=0, ddof=1) / np.sqrt(n)
-
-
 def _handle_parts(args, explainer, data):
     importances = model_parts(
         explainer,
@@ -260,7 +251,7 @@ def _handle_parts(args, explainer, data):
             "variable": item.variable,
             "importance": item.importance,
             "permuted_loss": item.permuted_loss,
-            "standard_error": _replicate_standard_error(item.replicate_losses),
+            "standard_error": item.standard_error,
         }
         if args.ratio:
             baseline = np.asarray(item.baseline_loss, dtype=float)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _SHAPE_TOL, StepCurve, SurvivalDataset, TimeGrid
+from .data import _SHAPE_TOL, SurvivalDataset, TimeGrid, _float_array
 from .errors import InputError, NumericError
 from .models import CoxModel, KaplanMeierModel, WeibullAftModel, predict_survival_matrix
 
@@ -35,6 +35,11 @@ def _normalize_output_type(output_type) -> str:
     return output_type
 
 
+def _quantile_grid(values: np.ndarray, size: int) -> np.ndarray:
+    # unique() both dedups repeated quantiles and guarantees strict ordering
+    return np.unique(np.quantile(values, np.linspace(0.0, 1.0, size)))
+
+
 def default_time_grid(background: SurvivalDataset) -> TimeGrid:
     """Evaluation grid derived from the background's observed event times.
 
@@ -45,7 +50,7 @@ def default_time_grid(background: SurvivalDataset) -> TimeGrid:
     event_times = background.times[(background.events == 1) & (background.times > 0)]
     unique = np.unique(event_times)
     if len(unique) > GRID_CAP:
-        unique = np.unique(np.quantile(event_times, np.linspace(0.0, 1.0, GRID_CAP)))
+        unique = _quantile_grid(event_times, GRID_CAP)
     if len(unique) < 2:
         raise InputError(
             "background yields fewer than two distinct positive event times; "
@@ -54,27 +59,13 @@ def default_time_grid(background: SurvivalDataset) -> TimeGrid:
     return TimeGrid(unique)
 
 
-def _curve_values(prediction, grid: TimeGrid) -> np.ndarray:
-    """Extract the value vector from a per-row prediction (StepCurve or array)."""
-    if isinstance(prediction, StepCurve):
-        if prediction.kind != "survival":
-            raise InputError(f"prediction curve has kind {prediction.kind!r}, expected 'survival'")
-        if len(prediction.times) != len(grid) or not np.array_equal(prediction.times, grid.points):
-            raise InputError("prediction curve times differ from the evaluation grid")
-        return prediction.values
-    values = np.asarray(prediction, dtype=float)
-    if values.ndim != 1:
-        raise InputError(f"prediction must be 1-dimensional, got shape {values.shape}")
-    return values
-
-
 def _per_row(fn):
     """Adapt a per-row callable ``fn(x, grid)`` to the batch contract ``f(X, grid)``."""
 
     def batch(X, grid):
         S = np.empty((len(X), len(grid)))
         for i, row in enumerate(X):
-            values = _curve_values(fn(row, grid), grid)
+            values = _float_array(fn(row, grid), "prediction", 1)
             if len(values) != len(grid):
                 raise InputError(
                     f"prediction length {len(values)} does not match grid length "
@@ -129,7 +120,8 @@ class Explainer:
     for concurrent invocation, and row-wise: a row's output must not depend
     on the other rows of its batch, since exact SurvSHAP predicts a repeated
     coalition row once and reuses it. The built-in models are row-wise.
-    :func:`explain` wraps a per-row callable ``f(x, grid)`` in this batch form.
+    :func:`explain` wraps a per-row callable ``f(x, grid)``, which returns
+    one row's (T,) survival vector, in this batch form.
     """
 
     model: object
@@ -195,11 +187,12 @@ def explain(model, background: SurvivalDataset, grid=None) -> Explainer:
     """Wrap a fitted model or a per-row prediction function as an Explainer.
 
     Built-in models (Kaplan-Meier, Cox, Weibull AFT) are used as they are.
-    Anything else must be a callable ``(x, grid) ->`` survival curve (a
-    StepCurve or a value vector) for one feature vector; it is called row by
-    row and checked as :class:`Explainer` describes. Its output for a row
-    must depend on that row alone (no state carried between calls), since
-    a repeated row may be predicted once and reused. ``grid`` is the one
+    Anything else must be a callable ``(x, grid) ->`` vector of survival
+    probabilities over ``grid`` for one feature vector; it is called row by
+    row and checked as :class:`Explainer` describes; any other return raises
+    ``InputError``. Its output for a row must depend on that row alone (no
+    state carried between calls), since a repeated row may be predicted
+    once and reused. ``grid`` is the one
     evaluation grid of every prediction, metric and explanation drawn from
     the explainer; when omitted it is derived from the background event times.
     """

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import SurvivalDataset, TimeGrid
 from .errors import InputError
-from .explainer import Explainer, _normalize_output_type
+from .explainer import Explainer, _normalize_output_type, _quantile_grid
 from .metrics import _prepared_loss
 
 # Profile background subsampling uses its own fixed seed: the sample is part
@@ -42,7 +42,9 @@ class VariableImportance:
     loss), so a variable the model never reads scores exactly 0. For curve
     losses all three loss fields are vectors over the grid. ``permuted_loss``
     is reported as baseline + importance, keeping the difference identity
-    exact. ``replicate_losses`` holds the raw per-repetition losses.
+    exact. ``replicate_losses`` holds the raw per-repetition losses, and
+    ``standard_error`` is the Monte-Carlo standard error of ``permuted_loss``
+    (None for a single repetition).
     """
 
     variable: str
@@ -52,6 +54,7 @@ class VariableImportance:
     n_permutations: int
     seed: int
     replicate_losses: np.ndarray = field(repr=False, default=None)
+    standard_error: float | np.ndarray | None = None
 
 
 @dataclass
@@ -85,6 +88,15 @@ class ResidualSet:
     deviance_defined: np.ndarray
     observed_times: np.ndarray
     events: np.ndarray
+
+
+def _replicate_standard_error(replicates: np.ndarray):
+    """Standard error of the mean over the first axis of ``replicates``;
+    None below two replicates, whose spread is undefined."""
+    n = len(replicates)
+    if n < 2:
+        return None
+    return replicates.std(axis=0, ddof=1) / np.sqrt(n)
 
 
 def background_sample(features: np.ndarray, cap: int) -> np.ndarray:
@@ -133,7 +145,6 @@ def model_parts(
     results = []
     for name in variables:
         j = data.column_index(name)
-        deltas = []
         replicates = []
         for rep in range(n_permutations):
             rng = np.random.default_rng(
@@ -141,10 +152,9 @@ def model_parts(
             )
             shuffled = data.features.copy()
             shuffled[:, j] = shuffled[rng.permutation(data.n_observations), j]
-            permuted = loss_of(shuffled)
-            replicates.append(permuted)
-            deltas.append(permuted - baseline)
-        importance = np.mean(deltas, axis=0)
+            replicates.append(loss_of(shuffled))
+        replicates = np.asarray(replicates)
+        importance = np.mean(replicates - baseline, axis=0)
         if np.ndim(importance) == 0:
             importance = float(importance)
         results.append(
@@ -155,7 +165,8 @@ def model_parts(
                 importance=importance,
                 n_permutations=n_permutations,
                 seed=seed,
-                replicate_losses=np.asarray(replicates),
+                replicate_losses=replicates,
+                standard_error=_replicate_standard_error(replicates),
             )
         )
     return results
@@ -164,11 +175,6 @@ def model_parts(
 def _check_grid_size(grid_size: int) -> None:
     if grid_size < 1:
         raise InputError(f"grid size must be at least 1, got {grid_size}")
-
-
-def _quantile_grid(values: np.ndarray, size: int) -> np.ndarray:
-    # unique() both dedups repeated quantiles and guarantees strict ordering
-    return np.unique(np.quantile(values, np.linspace(0.0, 1.0, size)))
 
 
 def _stacked_means(explainer, sample, take, values, output_type="survival"):

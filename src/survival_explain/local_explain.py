@@ -25,12 +25,12 @@ import numpy as np
 from .data import TimeGrid
 from .errors import InputError, NumericError
 from .estimators import nelson_aalen
-from .explainer import SURVIVAL_FLOOR, Explainer, _normalize_output_type
+from .explainer import SURVIVAL_FLOOR, Explainer, _normalize_output_type, _quantile_grid
 from .global_explain import (
     PROFILE_BACKGROUND_CAP,
     _STACK_CELLS,
     _check_grid_size,
-    _quantile_grid,
+    _replicate_standard_error,
     _stacked_means,
     background_sample,
 )
@@ -52,11 +52,10 @@ class SurvShapResult:
     and per sampled permutation for the sampler). ``aggregate`` is the
     span-normalized integral of |phi| per variable. ``standard_error`` is the
     sampler's Monte-Carlo standard error of each ``phi[j, k]`` (the std of the
-    per-permutation contributions over sqrt(n_samples); NaN for a single
-    permutation) and None for exact enumeration.
+    per-permutation contributions over sqrt(n_samples)); it is None for a
+    single permutation and for exact enumeration.
     """
 
-    instance: np.ndarray
     times: TimeGrid
     phi: np.ndarray
     baseline: np.ndarray
@@ -77,7 +76,6 @@ class SurvLimeResult:
     ridge fallback after singular normal equations.
     """
 
-    instance: np.ndarray
     surrogate_beta: np.ndarray
     neighborhood_size: int
     kernel_width: float
@@ -222,10 +220,7 @@ def _sampled_shapley(explainer, x, background, n_permutations, rng):
         values[np.take_along_axis(index, ranks + 1, axis=1)]
         - values[np.take_along_axis(index, ranks, axis=1)]
     )
-    if n_permutations > 1:
-        standard_error = contributions.std(axis=0, ddof=1) / math.sqrt(n_permutations)
-    else:
-        standard_error = np.full(contributions.shape[1:], np.nan)
+    standard_error = _replicate_standard_error(contributions)
     return contributions.mean(axis=0), values[index[0, 0]].copy(), standard_error
 
 
@@ -291,7 +286,6 @@ def predict_parts_survshap(
         )
         n_samples = n_permutations
     return SurvShapResult(
-        instance=x,
         times=explainer.grid,
         phi=phi,
         baseline=baseline,
@@ -366,7 +360,6 @@ def predict_parts_survlime(
     beta[active] = solution[1:]
     residual = float(weights @ (targets - design @ solution) ** 2)
     return SurvLimeResult(
-        instance=x,
         surrogate_beta=beta,
         neighborhood_size=n_neighbors,
         kernel_width=float(sigma),

@@ -327,14 +327,3 @@ def predict_survival_matrix(model, X: np.ndarray, grid: TimeGrid) -> np.ndarray:
         scaled = grid.points[None, :] / lam[:, None]
         return np.exp(-(scaled ** model.shape))
     raise InputError(f"unsupported model type {type(model).__name__}")
-
-
-def predict_survival(model, x: np.ndarray, grid: TimeGrid) -> StepCurve:
-    """Survival curve for a single feature vector over ``grid``."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise InputError(f"feature vector must be 1-dimensional, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InputError("feature vector must be finite")
-    values = predict_survival_matrix(model, x[None, :], grid)[0]
-    return StepCurve(grid.points, values, kind="survival")

@@ -8,8 +8,6 @@ formatting) over configurability.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from .errors import InputError
 
 WIDTH = 720
@@ -29,6 +27,11 @@ PALETTE = (
     "#a83268",
     "#6b6b6b",
 )
+
+
+def _escape(text: str) -> str:
+    """Text content with ``&``, ``>`` and ``<`` escaped, ``&`` first."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _coord(value: float) -> str:
@@ -90,7 +93,7 @@ def render_line_chart(series_list, title: str = "", x_label: str = "time", y_lab
     if title:
         parts.append(
             f'<text x="{_coord(MARGIN_LEFT + plot_w / 2)}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
         )
 
     # axes and ticks
@@ -113,7 +116,7 @@ def render_line_chart(series_list, title: str = "", x_label: str = "time", y_lab
         )
         parts.append(
             f'<text x="{_coord(px)}" y="{axis_y + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{escape(_tick_label(tx))}</text>'
+            f'font-family="sans-serif" font-size="11">{_escape(_tick_label(tx))}</text>'
         )
         ty = y_lo + frac * (y_hi - y_lo)
         py = sy(ty)
@@ -123,16 +126,16 @@ def render_line_chart(series_list, title: str = "", x_label: str = "time", y_lab
         )
         parts.append(
             f'<text x="{MARGIN_LEFT - 8}" y="{_coord(py + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{escape(_tick_label(ty))}</text>'
+            f'font-family="sans-serif" font-size="11">{_escape(_tick_label(ty))}</text>'
         )
     parts.append(
         f'<text x="{_coord(MARGIN_LEFT + plot_w / 2)}" y="{HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{escape(x_label)}</text>'
+        f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>'
     )
     parts.append(
         f'<text x="16" y="{_coord(MARGIN_TOP + plot_h / 2)}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {_coord(MARGIN_TOP + plot_h / 2)})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 16 {_coord(MARGIN_TOP + plot_h / 2)})">{_escape(y_label)}</text>'
     )
 
     # polylines and legend
@@ -150,7 +153,7 @@ def render_line_chart(series_list, title: str = "", x_label: str = "time", y_lab
         )
         parts.append(
             f'<text x="{lx + 24}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{escape(str(label))}</text>'
+            f'font-size="11">{_escape(str(label))}</text>'
         )
 
     parts.append("</svg>")

@@ -3,10 +3,12 @@
 import argparse
 import importlib
 import json
+import os
 import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from survival_explain import (
     model_parts,
     roc_at_time,
 )
+from survival_explain import svg
 from survival_explain.artifacts import TOOL_VERSION
 from survival_explain.cli import main
 from survival_explain.ingest import ingest_csv
@@ -451,6 +454,31 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"survival-explain {TOOL_VERSION}"
+
+
+class TestSvgText:
+    @pytest.mark.parametrize(
+        "text",
+        ["", "plain", "a & b", "<tag>", "&amp; stays escaped", "\"quoted\" 'single'",
+         "&<>\"'", "μ ≤ 0.5 & t → ∞", "survie à 5 ans <médiane>"],
+    )
+    def test_escape_matches_the_standard_library(self, text):
+        from xml.sax.saxutils import escape
+
+        assert svg._escape(text) == escape(text)
+
+    def test_cli_import_loads_no_network_modules(self):
+        # xml.sax.saxutils would pull these in through urllib.request
+        heavy = ("urllib.request", "http.client", "email", "ssl", "socket")
+        src = str(Path(survival_explain.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, survival_explain.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 class TestInProcessCalls:

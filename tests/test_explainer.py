@@ -92,15 +92,20 @@ class TestExplainConstruction:
         with pytest.raises(InputError, match="nonincreasing"):
             explain(rising, cox_data)
 
-    def test_step_curve_predictions_accepted(self, cox_data):
+    def test_step_curve_predictions_refused(self, cox_data):
+        # a per-row callable returns a value vector over the grid, nothing else
         def as_curve(x, grid):
             return StepCurve(times=grid.points, values=np.exp(-grid.points), kind="survival")
 
-        explainer = explain(as_curve, cox_data)
-        assert np.allclose(
-            explainer.predict(cox_data.features[0], "survival"),
-            np.exp(-explainer.grid.points),
-        )
+        with pytest.raises(InputError, match="prediction must be numeric"):
+            explain(as_curve, cox_data)
+
+    def test_two_dimensional_prediction_refused(self, cox_data):
+        def as_column(x, grid):
+            return np.exp(-grid.points)[:, None]
+
+        with pytest.raises(InputError, match="prediction must be 1-dimensional"):
+            explain(as_column, cox_data)
 
     def test_background_needs_two_rows(self):
         data = make_dataset([1.0], [1], [[0.5]], ["z"])

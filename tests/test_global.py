@@ -80,6 +80,20 @@ class TestModelParts:
         assert result.variable == "x0"
         assert np.isfinite(result.importance)
 
+    @pytest.mark.parametrize("loss", ["brier_curve", "one_minus_cindex"])
+    def test_standard_error_is_the_replicate_spread(self, loss, cox_explainer):
+        for item in model_parts(cox_explainer, loss=loss, n_permutations=4, seed=3):
+            replicates = list(item.replicate_losses)
+            mean = sum(replicates) / 4
+            variance = sum((replicate - mean) ** 2 for replicate in replicates) / 3
+            expected = np.sqrt(variance) / 2
+            np.testing.assert_allclose(item.standard_error, expected, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("loss", ["brier_curve", "one_minus_cindex"])
+    def test_standard_error_is_none_for_one_permutation(self, loss, cox_explainer):
+        for item in model_parts(cox_explainer, loss=loss, n_permutations=1):
+            assert item.standard_error is None
+
     def test_replicate_spread_shrinks_with_more_permutations(self, cox_explainer):
         few = model_parts(cox_explainer, n_permutations=10, variables=["x0"])[0]
         many = model_parts(cox_explainer, n_permutations=100, variables=["x0"])[0]

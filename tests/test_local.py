@@ -193,8 +193,7 @@ class TestSurvShap:
         x = cox_data.features[0]
         assert predict_parts_survshap(cox_explainer, x, method="exact").standard_error is None
         single = predict_parts_survshap(cox_explainer, x, method="sampling", n_permutations=1)
-        assert single.standard_error.shape == single.phi.shape
-        assert np.all(np.isnan(single.standard_error))
+        assert single.standard_error is None
 
 
 class CountingBatchModel:

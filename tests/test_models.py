@@ -11,7 +11,6 @@ from survival_explain import (
     fit_cox,
     fit_kaplan_meier,
     fit_weibull_aft,
-    predict_survival,
 )
 from survival_explain import models
 from survival_explain.models import (
@@ -430,7 +429,7 @@ class TestPredictSurvival:
         fitted = fit_weibull_aft(data)
         grid = TimeGrid(points=np.array([0.5, 1.0, 2.0]))
         x = np.array([0.7])
-        curve = predict_survival(fitted, x, grid)
+        curve = predict_survival_matrix(fitted, x[None, :], grid)[0]
         lam = np.exp(fitted.intercept + fitted.coefficients @ x)
         expected = np.exp(-((grid.points / lam) ** fitted.shape))
-        assert np.allclose(curve.values, expected, atol=1e-12)
+        assert np.allclose(curve, expected, atol=1e-12)

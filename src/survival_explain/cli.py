@@ -19,7 +19,7 @@ import numpy as np
 
 from .artifacts import TOOL_VERSION, build_envelope, jsonify, read_artifact, write_artifact
 from .errors import InputError, NumericError
-from .explainer import OUTPUT_TYPES, _cumulative_hazard, default_time_grid, explain
+from .explainer import OUTPUT_TYPES, default_time_grid, explain
 from .global_explain import model_diagnostics, model_parts, model_profile, model_profile_2d
 from .ingest import ingest_csv
 from .local_explain import (
@@ -215,7 +215,7 @@ def _handle_predict(args, explainer, data):
 def _handle_performance(args, explainer, data):
     # one prediction feeds every metric, each scored as its public function scores it
     S = explainer.predict(data.features, "survival")
-    risk = _cumulative_hazard(S).sum(axis=1)
+    risk = explainer._cumulative_hazard(data.features, S).sum(axis=1)
     brier = _brier_scorer(explainer.grid, data)(S)
     auc = _cd_auc_scorer(explainer.grid, data)(risk)
     cindex = _concordance_scorer(data)(risk)

@@ -2,9 +2,10 @@
 
 An :class:`Explainer` pairs a model with the background dataset every
 explanation method draws from. Predictions can be requested as survival
-probabilities, cumulative hazard, or a relative-risk scalar (the grid-sum of
-the cumulative hazard; implementation-defined, since any strictly monotone
-functional preserves risk ordering).
+probabilities, cumulative hazard (capped at -log(``SURVIVAL_FLOOR``)), or a
+relative-risk scalar (the grid-sum of the capped cumulative hazard;
+implementation-defined, since any strictly monotone functional preserves
+risk ordering).
 """
 
 from __future__ import annotations
@@ -15,10 +16,18 @@ import numpy as np
 
 from .data import _SHAPE_TOL, SurvivalDataset, TimeGrid, _float_array
 from .errors import InputError, NumericError
-from .models import CoxModel, KaplanMeierModel, WeibullAftModel, predict_survival_matrix
+from .models import (
+    CoxModel,
+    KaplanMeierModel,
+    WeibullAftModel,
+    predict_cumulative_hazard_matrix,
+    predict_survival_matrix,
+)
 
-#: Survival probabilities are clamped to at least this before any logarithm.
+#: Survival probabilities are clamped to at least this before any logarithm,
+#: and every cumulative hazard is capped at ``-log(SURVIVAL_FLOOR)``.
 SURVIVAL_FLOOR = 1e-18
+_HAZARD_CAP = -np.log(SURVIVAL_FLOOR)
 
 #: Default grids are capped at this many points to bound explanation cost.
 GRID_CAP = 51
@@ -63,13 +72,14 @@ def _per_row(fn):
     """Adapt a per-row callable ``fn(x, grid)`` to the batch contract ``f(X, grid)``."""
 
     def batch(X, grid):
-        S = np.empty((len(X), len(grid)))
+        n_points = len(grid)
+        S = np.empty((len(X), n_points))
         for i, row in enumerate(X):
             values = _float_array(fn(row, grid), "prediction", 1)
-            if len(values) != len(grid):
+            if len(values) != n_points:
                 raise InputError(
                     f"prediction length {len(values)} does not match grid length "
-                    f"{len(grid)} for row {i}"
+                    f"{n_points} for row {i}"
                 )
             S[i] = values
         return S
@@ -122,6 +132,11 @@ class Explainer:
     coalition row once and reuses it. The built-in models are row-wise.
     :func:`explain` wraps a per-row callable ``f(x, grid)``, which returns
     one row's (T,) survival vector, in this batch form.
+
+    The cumulative hazard ``chf`` is capped at -log(``SURVIVAL_FLOOR``),
+    about 41.4, and ``risk`` is its sum over the grid. A Cox or Weibull AFT
+    model gives it from its own hazard; Kaplan-Meier and callables give
+    -log S with S floored at ``SURVIVAL_FLOOR``.
     """
 
     model: object
@@ -147,13 +162,31 @@ class Explainer:
             return _checked_survival(self.model(X, grid), len(X), grid)
         return predict_survival_matrix(self.model, X, grid)
 
+    def _cumulative_hazard(self, X: np.ndarray, survival=None) -> np.ndarray:
+        """(n, T) cumulative hazard, capped at -log(``SURVIVAL_FLOOR``).
+
+        A Cox or Weibull AFT model computes it directly; NaN stays NaN. For
+        any other model it is -log of the survival matrix floored at
+        ``SURVIVAL_FLOOR``, and ``survival``, when given, must be that
+        matrix for the same rows: it is used instead of predicting again.
+        """
+        if isinstance(self.model, (CoxModel, WeibullAftModel)):
+            H = predict_cumulative_hazard_matrix(self.model, X, self.grid)
+            # minimum, not fmin: a NaN hazard must reach the metrics' checks
+            return np.minimum(H, _HAZARD_CAP, out=H)
+        if survival is None:
+            survival = self.survival_matrix(X)
+        return -np.log(np.clip(survival, SURVIVAL_FLOOR, 1.0))
+
     def predict(self, X, output_type="survival"):
         """Predictions for the rows of ``X`` in the requested format.
 
-        ``survival`` and ``chf`` return an (n, T) array over the explainer's grid;
-        ``risk`` returns one scalar per row (the grid-sum of the cumulative
-        hazard). A single feature vector yields the corresponding
-        unbatched shape.
+        ``survival`` and ``chf`` return an (n, T) array over the explainer's
+        grid; ``chf`` is the cumulative hazard capped at -log(1e-18), taken
+        from the model's own hazard for Cox and Weibull AFT and from
+        -log S otherwise. ``risk`` returns one scalar per row, the grid-sum
+        of that capped hazard. A single feature vector yields the
+        corresponding unbatched shape.
         """
         output = _normalize_output_type(output_type)
         X = np.asarray(X, dtype=float)
@@ -168,19 +201,12 @@ class Explainer:
             )
         if not np.all(np.isfinite(X)):
             raise InputError("feature matrix contains non-finite values")
-        S = self.survival_matrix(X)
         if output == "survival":
-            result = S
+            result = self.survival_matrix(X)
         else:
-            chf = _cumulative_hazard(S)
+            chf = self._cumulative_hazard(X)
             result = chf if output == "chf" else chf.sum(axis=1)
         return result[0] if single else result
-
-
-def _cumulative_hazard(S):
-    """The cumulative hazard -log S, with S floored at ``SURVIVAL_FLOOR``;
-    its sum over the grid is the ``risk`` output."""
-    return -np.log(np.clip(S, SURVIVAL_FLOOR, 1.0))
 
 
 def explain(model, background: SurvivalDataset, grid=None) -> Explainer:

@@ -141,9 +141,13 @@ class _RankCounter:
 def _brier_scorer(grid: TimeGrid, data: SurvivalDataset):
     """Prepare the IPCW Brier score on ``data``; returns ``score(S)``.
 
-    The censoring weights are multiplied into their 0/1 masks here, once,
-    so each score is two weighted squares and one sum over rows, with the
-    same values the unprepared product gives.
+    A cell is a past event (target 0, weight 1/G(t_i-)), still at risk
+    (target 1, weight 1/G(t)) or neither (weight 0); the masks are disjoint.
+    So one weight and one target matrix are built here, once, and each score
+    is one weighted square (S - target)**2 * weight, computed in one reused
+    buffer, and one sum over rows.
+    Each cell equals S**2 * w_event + (1 - S)**2 * w_risk bit for bit, as
+    (S - 1)**2 == (1 - S)**2 exactly and the other term is an exact zero.
     """
     G = censoring_km(data)
     g_before = G.evaluate_left(data.times)[:, None]
@@ -156,15 +160,23 @@ def _brier_scorer(grid: TimeGrid, data: SurvivalDataset):
     at_risk = observed > t
 
     with np.errstate(divide="ignore"):
-        w_event = past_event * np.where(g_before > 0, 1.0 / g_before, 0.0)
-        w_risk = at_risk * np.where(g_at > 0, 1.0 / g_at, 0.0)
+        w_event = np.where(g_before > 0, 1.0 / g_before, 0.0)
+        w_risk = np.where(g_at > 0, 1.0 / g_at, 0.0)
+    weight = past_event * w_event + at_risk * w_risk
+    target = at_risk.astype(float)
     dropped = (past_event & (g_before == 0)) | (at_risk & (g_at == 0))
     n_effective = data.n_observations - dropped.sum(axis=0)
     defined = n_effective > 0
 
+    # one (n, T) buffer for every score: a fresh array per call costs more
+    # in page faults than the arithmetic, so ``score`` is not reentrant
+    scratch = np.empty(weight.shape)
+
     def score(S) -> MetricCurve:
         _require_finite(S, "predicted survival")
-        contributions = S**2 * w_event + (1.0 - S) ** 2 * w_risk
+        contributions = np.subtract(S, target, out=scratch)
+        contributions *= contributions
+        contributions *= weight
         values = np.full(len(grid), np.nan)
         values[defined] = contributions.sum(axis=0)[defined] / n_effective[defined]
         integrated = integrated_mean(grid.points, values, defined)

@@ -295,6 +295,35 @@ def fit_weibull_aft(data: SurvivalDataset) -> WeibullAftModel:
 # Prediction
 # ---------------------------------------------------------------------------
 
+def _checked_features(model, X) -> np.ndarray:
+    """``X`` as a 2-D float array with one column per feature of ``model``."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise InputError(f"feature matrix must be 2-dimensional, got shape {X.shape}")
+    if isinstance(model, (CoxModel, WeibullAftModel)):
+        width = len(model.beta if isinstance(model, CoxModel) else model.coefficients)
+        if X.shape[1] != width:
+            raise InputError(f"feature matrix has {X.shape[1]} columns, model expects {width}")
+    return X
+
+
+def _cox_factors(model: CoxModel, X: np.ndarray, grid: TimeGrid):
+    """(relative risk per row, baseline CHF per grid point): the Cox CHF is
+    their outer product."""
+    # row-wise reduction, not a matvec: keeps each row's linear predictor
+    # bit-identical regardless of how the rows are batched
+    relative_risk = np.exp(((X - model.feature_means) * model.beta).sum(axis=1))
+    return relative_risk, model.baseline_chf.evaluate(grid.points)
+
+
+def _weibull_chf(model: WeibullAftModel, X: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """The Weibull AFT cumulative hazard (t / lam(x))**shape, (n, T)."""
+    lam = np.exp(model.intercept + (X * model.coefficients).sum(axis=1))
+    H = grid.points[None, :] / lam[:, None]
+    H **= model.shape
+    return H
+
+
 def predict_survival_matrix(model, X: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Survival probabilities for every row of ``X`` at every grid point.
 
@@ -302,28 +331,34 @@ def predict_survival_matrix(model, X: np.ndarray, grid: TimeGrid) -> np.ndarray:
     are exp of a non-positive number, so only the Kaplan-Meier curve, which
     a user may build slightly outside [0, 1], is clipped.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise InputError(f"feature matrix must be 2-dimensional, got shape {X.shape}")
+    X = _checked_features(model, X)
     if isinstance(model, KaplanMeierModel):
         values = model.curve.evaluate(grid.points)
         return np.clip(np.broadcast_to(values, (X.shape[0], len(grid))).copy(), 0.0, 1.0)
+    # exp and negation run in place: a fresh (n, T) result costs more in
+    # page faults than the arithmetic does
     if isinstance(model, CoxModel):
-        if X.shape[1] != len(model.beta):
-            raise InputError(
-                f"feature matrix has {X.shape[1]} columns, model expects {len(model.beta)}"
-            )
-        # row-wise reduction, not a matvec: keeps each row's linear predictor
-        # bit-identical regardless of how the rows are batched
-        relative_risk = np.exp(((X - model.feature_means) * model.beta).sum(axis=1))
-        h0 = model.baseline_chf.evaluate(grid.points)
-        return np.exp(np.outer(-relative_risk, h0))
+        relative_risk, h0 = _cox_factors(model, X, grid)
+        exponent = np.outer(-relative_risk, h0)
+    elif isinstance(model, WeibullAftModel):
+        exponent = _weibull_chf(model, X, grid)
+        np.negative(exponent, out=exponent)
+    else:
+        raise InputError(f"unsupported model type {type(model).__name__}")
+    return np.exp(exponent, out=exponent)
+
+
+def predict_cumulative_hazard_matrix(model, X: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Cumulative hazard of a Cox or Weibull AFT model for every row of ``X``
+    at every grid point, (n, len(grid)), uncapped.
+
+    It is the H whose exp(-H) :func:`predict_survival_matrix` returns, with
+    the same input checks. The Kaplan-Meier model has no such form: its
+    hazard is taken from its survival curve.
+    """
+    X = _checked_features(model, X)
+    if isinstance(model, CoxModel):
+        return np.outer(*_cox_factors(model, X, grid))
     if isinstance(model, WeibullAftModel):
-        if X.shape[1] != len(model.coefficients):
-            raise InputError(
-                f"feature matrix has {X.shape[1]} columns, model expects {len(model.coefficients)}"
-            )
-        lam = np.exp(model.intercept + (X * model.coefficients).sum(axis=1))
-        scaled = grid.points[None, :] / lam[:, None]
-        return np.exp(-(scaled ** model.shape))
-    raise InputError(f"unsupported model type {type(model).__name__}")
+        return _weibull_chf(model, X, grid)
+    raise InputError(f"no cumulative hazard form for model type {type(model).__name__}")

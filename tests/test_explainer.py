@@ -1,14 +1,21 @@
+import argparse
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from survival_explain import (
+    CoxModel,
     Explainer,
     InputError,
     NumericError,
     StepCurve,
     SurvivalDataset,
     TimeGrid,
+    WeibullAftModel,
+    brier_score,
+    cd_auc,
+    concordance_index,
     default_time_grid,
     explain,
     fit_cox,
@@ -19,9 +26,11 @@ from survival_explain import (
     predict_parts_survlime,
     predict_parts_survshap,
 )
-from survival_explain.models import predict_survival_matrix
+from survival_explain.cli import _handle_performance
+from survival_explain.metrics import _cd_auc_scorer, _concordance_scorer
+from survival_explain.models import predict_cumulative_hazard_matrix, predict_survival_matrix
 
-from conftest import make_dataset, simulate_cox
+from conftest import make_dataset, simulate_cohort, simulate_cox
 
 
 def constant_survival(level):
@@ -271,3 +280,109 @@ class TestPredict:
         explainer = explain(from_values, data, grid=TimeGrid(points=grid_points))
         chf = explainer.predict(np.empty((1, 0)), "chf")
         assert np.all(np.diff(chf[0]) >= 0)
+
+
+def floored_chf(S):
+    """The cumulative hazard as -log S with S floored at 1e-18."""
+    return -np.log(np.clip(S, 1e-18, 1.0))
+
+
+class TestHazardNativeChf:
+    """Cox and Weibull AFT serve chf and risk from their own cumulative hazard."""
+
+    @pytest.mark.parametrize("fit", [fit_cox, fit_weibull_aft])
+    def test_chf_matches_minus_log_survival_where_survival_is_above_the_floor(self, fit):
+        data = simulate_cohort(3000, 6, seed=0)
+        explainer = explain(fit(data), data)
+        S = explainer.predict(data.features, "survival")
+        chf = explainer.predict(data.features, "chf")
+        above = S > 1e-18
+        assert above.any()
+        np.testing.assert_allclose(chf[above], -np.log(S[above]), rtol=1e-12, atol=0)
+
+    def test_chf_is_the_model_hazard_capped(self, cox_explainer, cox_data):
+        model, grid = cox_explainer.model, cox_explainer.grid
+        H = predict_cumulative_hazard_matrix(model, cox_data.features, grid)
+        chf = cox_explainer.predict(cox_data.features, "chf")
+        assert np.array_equal(chf, np.minimum(H, -np.log(1e-18)))
+        assert np.array_equal(cox_explainer.predict(cox_data.features, "risk"), chf.sum(axis=1))
+
+    @pytest.mark.parametrize("kind", ["cox", "weibull"])
+    def test_chf_is_exactly_the_cap_where_survival_underflows(self, kind):
+        grid = TimeGrid(np.array([1.0, 2.0, 4.0, 8.0]))
+        data = make_dataset([1.0, 2.0, 4.0, 8.0], [1, 1, 0, 1], [[0.0], [1.0], [3.0], [6.0]], ["z"])
+        if kind == "cox":
+            baseline = StepCurve(grid.points, np.array([0.1, 0.5, 2.0, 9.0]), kind="chf")
+            model = CoxModel(beta=np.array([1.5]), baseline_chf=baseline, feature_means=np.zeros(1))
+        else:
+            model = WeibullAftModel(shape=2.0, intercept=1.0, coefficients=np.array([-0.6]))
+        explainer = explain(model, data, grid=grid)
+        S = explainer.predict(data.features, "survival")
+        chf = explainer.predict(data.features, "chf")
+        under = S < 1e-18
+        assert under.any() and (~under).any()
+        assert np.all(chf[under] == -np.log(1e-18))
+        assert np.all(chf[~under] < -np.log(1e-18))
+
+    @pytest.mark.parametrize("kind", ["cox", "weibull"])
+    def test_nan_relative_risk_still_fails_the_metrics(self, kind, cox_data):
+        model = fit_cox(cox_data) if kind == "cox" else fit_weibull_aft(cox_data)
+        explainer = explain(model, cox_data)
+        if kind == "cox":
+            model.beta = np.array([np.nan, 0.5])
+        else:
+            model.coefficients = np.array([np.nan, 0.5])
+        assert np.isnan(explainer.predict(cox_data.features, "chf")).all()
+        for metric in (concordance_index, cd_auc):
+            with pytest.raises(NumericError, match="risk score is not finite for row 0"):
+                metric(explainer, cox_data)
+        with pytest.raises(NumericError, match="predicted survival is not finite for row 0"):
+            brier_score(explainer, cox_data)
+
+    @pytest.mark.parametrize("kind", ["km", "per_row", "batch"])
+    def test_other_models_take_chf_and_risk_from_floored_survival(self, kind, cox_data):
+        def per_row(x, grid):
+            return np.exp(-grid.points * np.exp(4.0 * x[0]))
+
+        if kind == "km":
+            explainer = explain(fit_kaplan_meier(cox_data), cox_data)
+        elif kind == "per_row":
+            explainer = explain(per_row, cox_data)
+        else:
+            explainer = Explainer(
+                model=lambda X, g: np.exp(-np.outer(np.exp(4.0 * X[:, 0]), g.points)),
+                background=cox_data,
+                grid=default_time_grid(cox_data),
+            )
+        X = cox_data.features
+        manual = floored_chf(explainer.predict(X, "survival"))
+        if kind != "km":
+            assert (manual == -np.log(1e-18)).any()
+        assert np.array_equal(explainer.predict(X, "chf"), manual)
+        assert np.array_equal(explainer.predict(X, "risk"), manual.sum(axis=1))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rank_metrics_equal_those_of_floored_survival(self, seed):
+        data = simulate_cohort(3000, 6, seed=seed)
+        for fit in (fit_cox, fit_weibull_aft):
+            explainer = explain(fit(data), data)
+            risk = floored_chf(explainer.predict(data.features, "survival")).sum(axis=1)
+            assert concordance_index(explainer, data) == _concordance_scorer(data)(risk)
+            got = cd_auc(explainer, data)
+            want = _cd_auc_scorer(explainer.grid, data)(risk)
+            assert np.array_equal(got.values, want.values, equal_nan=True)
+            assert got.integrated == want.integrated
+
+    def test_performance_calls_a_per_row_callable_once_per_row(self, cox_data):
+        calls = []
+
+        def counting(x, grid):
+            calls.append(1)
+            return np.exp(-grid.points * np.exp(x[0]) / 10.0)
+
+        explainer = explain(counting, cox_data)
+        calls.clear()
+        result, _, _ = _handle_performance(argparse.Namespace(at_time=None), explainer, cox_data)
+        assert len(calls) == cox_data.n_observations
+        risk = floored_chf(explainer.predict(cox_data.features, "survival")).sum(axis=1)
+        assert result["concordance_index"] == _concordance_scorer(cox_data)(risk)

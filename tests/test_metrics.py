@@ -8,6 +8,7 @@ from survival_explain import (
     Explainer,
     InputError,
     NumericError,
+    StepCurve,
     TimeGrid,
     brier_score,
     cd_auc,
@@ -17,6 +18,9 @@ from survival_explain import (
     loss_adapter,
     roc_at_time,
 )
+
+from survival_explain import metrics
+from survival_explain.metrics import _brier_scorer
 
 from conftest import make_dataset
 
@@ -113,6 +117,70 @@ class TestBrierScore:
         indicator = (data.times[:, None] > grid.points[None, :]).astype(float)
         mse = ((indicator - S) ** 2).sum(axis=0) / data.n_observations
         assert np.array_equal(curve.values, mse)
+
+
+class TestPreparedBrierScorer:
+    """The prepared scorer's one weighted square (S - target)**2 * weight
+    against the two-weight formula S**2 * w_event + (1 - S)**2 * w_risk."""
+
+    @staticmethod
+    def two_weight_values(S, data, grid, G):
+        g_before = G.evaluate_left(data.times)[:, None]
+        g_at = G.evaluate(grid.points)[None, :]
+        t = grid.points[None, :]
+        past_event = (data.times[:, None] <= t) & (data.events[:, None] == 1)
+        at_risk = data.times[:, None] > t
+        with np.errstate(divide="ignore"):
+            w_event = past_event * np.where(g_before > 0, 1.0 / g_before, 0.0)
+            w_risk = at_risk * np.where(g_at > 0, 1.0 / g_at, 0.0)
+        contributions = S**2 * w_event + (1.0 - S) ** 2 * w_risk
+        dropped = (past_event & (g_before == 0)) | (at_risk & (g_at == 0))
+        n_effective = data.n_observations - dropped.sum(axis=0)
+        values = np.full(len(grid), np.nan)
+        defined = n_effective > 0
+        values[defined] = contributions.sum(axis=0)[defined] / n_effective[defined]
+        return values, dropped
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("censoring", ["estimated", "zero_from_seven"])
+    def test_bit_identical_to_the_two_weight_formula(self, seed, censoring, monkeypatch):
+        rng = np.random.default_rng(seed)
+        n = 300
+        times = np.ceil(rng.exponential(5.0, n))
+        events = (rng.random(n) < 0.6).astype(int)
+        data = make_dataset(times, events, np.zeros((n, 1)), ["z"])
+        grid = TimeGrid(np.arange(0.5, 12.0))
+        S = np.sort(rng.uniform(size=(n, len(grid))), axis=1)[:, ::-1].copy()
+        S[:20] = 1.0
+        S[20:40] = 0.0
+        S[40:80, 6:] = 0.0
+        S[80:120, :4] = 1.0
+        if censoring == "estimated":
+            G = metrics.censoring_km(data)
+        else:
+            # G reaches 0 at t = 7: later events and later at-risk cells drop out
+            G = StepCurve(np.array([2.0, 4.0, 7.0]), np.array([0.9, 0.6, 0.0]), kind="survival")
+            monkeypatch.setattr(metrics, "censoring_km", lambda data: G)
+
+        want, dropped = self.two_weight_values(S, data, grid, G)
+        score = _brier_scorer(grid, data)
+        curve = score(S)
+        assert np.array_equal(curve.values, want, equal_nan=True)
+        assert np.array_equal(curve.defined, ~np.isnan(want))
+        # a second score through the same prepared scorer leaves the first intact
+        other = np.sqrt(S)
+        assert np.array_equal(
+            score(other).values, self.two_weight_values(other, data, grid, G)[0], equal_nan=True
+        )
+        assert np.array_equal(curve.values, want, equal_nan=True)
+
+        t = grid.points[None, :]
+        censored_before = (data.times[:, None] <= t) & (data.events[:, None] == 0)
+        at_risk = data.times[:, None] > t
+        assert censored_before.any()
+        assert (at_risk & (S == 0.0)).any() and (at_risk & (S == 1.0)).any()
+        assert (~at_risk & (S == 0.0)).any() and (~at_risk & (S == 1.0)).any()
+        assert dropped.any() == (censoring == "zero_from_seven")
 
 
 class TestCdAuc:

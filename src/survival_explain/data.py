@@ -93,9 +93,6 @@ class SurvivalDataset:
         """Copy of the dataset with the feature matrix replaced."""
         return replace(self, features=features)
 
-    def with_events(self, events: np.ndarray) -> "SurvivalDataset":
-        return replace(self, events=events)
-
 
 @dataclass
 class TimeGrid:

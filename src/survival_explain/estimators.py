@@ -7,12 +7,19 @@ import numpy as np
 from .data import StepCurve, SurvivalDataset
 
 
-def _event_table(data: SurvivalDataset):
+def _event_table(times: np.ndarray, events: np.ndarray):
     """Unique event times with event counts and at-risk counts."""
-    sorted_times = np.sort(data.times, kind="stable")
-    event_times, d = np.unique(data.times[data.events == 1], return_counts=True)
+    sorted_times = np.sort(times, kind="stable")
+    event_times, d = np.unique(times[events == 1], return_counts=True)
     at_risk = len(sorted_times) - np.searchsorted(sorted_times, event_times, side="left")
     return event_times, d.astype(float), at_risk.astype(float)
+
+
+def _product_limit(times: np.ndarray, events: np.ndarray) -> StepCurve:
+    event_times, d, r = _event_table(times, events)
+    if len(event_times) == 0:
+        return StepCurve(np.array([times.max()]), np.array([1.0]), kind="survival")
+    return StepCurve(event_times, np.cumprod(1.0 - d / r), kind="survival")
 
 
 def kaplan_meier(data: SurvivalDataset) -> StepCurve:
@@ -21,16 +28,12 @@ def kaplan_meier(data: SurvivalDataset) -> StepCurve:
     With no observed events the estimate never drops: the curve is the
     constant 1, carried on a single point at the largest observed time.
     """
-    event_times, d, r = _event_table(data)
-    if len(event_times) == 0:
-        return StepCurve(np.array([data.times.max()]), np.array([1.0]), kind="survival")
-    survival = np.cumprod(1.0 - d / r)
-    return StepCurve(event_times, survival, kind="survival")
+    return _product_limit(data.times, data.events)
 
 
 def nelson_aalen(data: SurvivalDataset) -> StepCurve:
     """Cumulative-sum estimate of the cumulative hazard: sum of d_k / r_k at event times."""
-    event_times, d, r = _event_table(data)
+    event_times, d, r = _event_table(data.times, data.events)
     if len(event_times) == 0:
         return StepCurve(np.array([data.times.max()]), np.array([0.0]), kind="chf")
     return StepCurve(event_times, np.cumsum(d / r), kind="chf")
@@ -42,4 +45,4 @@ def censoring_km(data: SurvivalDataset) -> StepCurve:
     Flips the event indicator so censorings are treated as events; the result
     supplies inverse-probability-of-censoring weights.
     """
-    return kaplan_meier(data.with_events(1 - data.events))
+    return _product_limit(data.times, 1 - data.events)

@@ -68,53 +68,47 @@ def default_time_grid(background: SurvivalDataset) -> TimeGrid:
     return TimeGrid(unique)
 
 
-def _per_row(fn):
-    """Adapt a per-row callable ``fn(x, grid)`` to the batch contract ``f(X, grid)``."""
-
-    def batch(X, grid):
-        n_points = len(grid)
-        S = np.empty((len(X), n_points))
-        for i, row in enumerate(X):
-            values = _float_array(fn(row, grid), "prediction", 1)
-            if len(values) != n_points:
-                raise InputError(
-                    f"prediction length {len(values)} does not match grid length "
-                    f"{n_points} for row {i}"
-                )
-            S[i] = values
-        return S
-
-    return batch
-
-
 def _checked_survival(S, n_rows: int, grid: TimeGrid) -> np.ndarray:
     """A callable's output as an (n, T) survival matrix, clamped to [0, 1].
 
-    Raises ``InputError`` for a wrong shape, a value out of [0, 1] or a
-    rising curve, and ``NumericError`` for a non-finite value, each naming
-    the first bad row. The whole-matrix test is vectorised; rows are only
-    scanned once it has failed. Its ``and`` chain reaches ``np.diff`` only
-    when every value is finite, since ``inf - inf`` would warn.
+    ``S`` is what the callable returned: a matrix, or one vector per row.
+    Raises ``InputError`` for a non-numeric row, a row that is not a vector
+    of the grid's length, a value out of [0, 1] or a rising curve, and
+    ``NumericError`` for a non-finite value, each naming the first bad row;
+    rows that are all sound but of the wrong count raise ``InputError`` too.
+    The whole-matrix test is vectorised; rows are only scanned once it has
+    failed. Its ``and`` chain reaches ``np.diff`` only when every value is
+    finite, since ``inf - inf`` would warn.
     """
-    S = np.asarray(S, dtype=float)
-    if S.shape != (n_rows, len(grid)):
-        raise InputError(
-            f"prediction shape {S.shape} does not match {n_rows} rows by grid length {len(grid)}"
+    n_points = len(grid)
+    try:
+        M = np.asarray(S, dtype=float)
+    except (TypeError, ValueError):
+        M = None
+    if M is not None and M.shape == (n_rows, n_points) and (
+        M.size == 0
+        or (
+            M.min() >= -_SHAPE_TOL
+            and M.max() <= 1 + _SHAPE_TOL
+            and np.diff(M, axis=1).max() <= _SHAPE_TOL
         )
-    valid = S.size == 0 or (
-        S.min() >= -_SHAPE_TOL
-        and S.max() <= 1 + _SHAPE_TOL
-        and np.diff(S, axis=1).max() <= _SHAPE_TOL
+    ):
+        return np.clip(M, 0.0, 1.0)
+    for i, row in enumerate(S if np.iterable(S) else [S]):
+        row = _float_array(row, "prediction", 1)
+        if len(row) != n_points:
+            raise InputError(
+                f"prediction length {len(row)} does not match grid length {n_points} for row {i}"
+            )
+        if not np.all(np.isfinite(row)):
+            raise NumericError(f"predicted survival is not finite for row {i}")
+        if row.min() < -_SHAPE_TOL or row.max() > 1 + _SHAPE_TOL:
+            raise InputError(f"survival value out of [0,1] for row {i}")
+        if np.any(np.diff(row) > _SHAPE_TOL):
+            raise InputError(f"survival curve must be nonincreasing for row {i}")
+    raise InputError(
+        f"prediction shape {np.shape(S)} does not match {n_rows} rows by grid length {n_points}"
     )
-    if not valid:
-        for i, row in enumerate(S):
-            if not np.all(np.isfinite(row)):
-                raise NumericError(f"predicted survival is not finite for row {i}")
-            if row.min() < -_SHAPE_TOL or row.max() > 1 + _SHAPE_TOL:
-                raise InputError(f"survival value out of [0,1] for row {i}")
-            if np.any(np.diff(row) > _SHAPE_TOL):
-                raise InputError(f"survival curve must be nonincreasing for row {i}")
-    return np.clip(S, 0.0, 1.0)
 
 
 @dataclass
@@ -123,10 +117,12 @@ class Explainer:
 
     ``model`` is either a fitted built-in model (Kaplan-Meier, Cox or
     Weibull AFT) or a batch callable ``f(X, grid)`` returning the (n, T)
-    survival matrix of the rows of ``X`` at ``grid``. A callable's output is
-    checked on every call: a non-finite value raises ``NumericError``; a
-    wrong shape, a value out of [0, 1] or a rising curve raises
-    ``InputError``; each names the first bad row. A callable must be safe
+    survival matrix of the rows of ``X`` at ``grid``, as one array or as one
+    vector per row. A callable's output is
+    checked on every call, by one check for both contracts: a non-finite
+    value raises ``NumericError``; a non-numeric value, a wrong shape, a
+    value out of [0, 1] or a rising curve raises ``InputError``; each names
+    the first bad row. A callable must be safe
     for concurrent invocation, and row-wise: a row's output must not depend
     on the other rows of its batch, since exact SurvSHAP predicts a repeated
     coalition row once and reuses it. The built-in models are row-wise.
@@ -230,7 +226,7 @@ def explain(model, background: SurvivalDataset, grid=None) -> Explainer:
     if isinstance(model, (CoxModel, WeibullAftModel, KaplanMeierModel)):
         return Explainer(model, background, grid)
     if callable(model):
-        return Explainer(_per_row(model), background, grid)
+        return Explainer(lambda X, grid: [model(row, grid) for row in X], background, grid)
     raise InputError(
         f"unsupported model type {type(model).__name__}; "
         "pass a fitted built-in model or a prediction function"

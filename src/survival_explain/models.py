@@ -307,58 +307,42 @@ def _checked_features(model, X) -> np.ndarray:
     return X
 
 
-def _cox_factors(model: CoxModel, X: np.ndarray, grid: TimeGrid):
-    """(relative risk per row, baseline CHF per grid point): the Cox CHF is
-    their outer product."""
-    # row-wise reduction, not a matvec: keeps each row's linear predictor
-    # bit-identical regardless of how the rows are batched
-    relative_risk = np.exp(((X - model.feature_means) * model.beta).sum(axis=1))
-    return relative_risk, model.baseline_chf.evaluate(grid.points)
+def predict_cumulative_hazard_matrix(model, X: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Cumulative hazard of a Cox or Weibull AFT model for every row of ``X``
+    at every grid point, (n, len(grid)), uncapped.
 
-
-def _weibull_chf(model: WeibullAftModel, X: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """The Weibull AFT cumulative hazard (t / lam(x))**shape, (n, T)."""
-    lam = np.exp(model.intercept + (X * model.coefficients).sum(axis=1))
-    H = grid.points[None, :] / lam[:, None]
-    H **= model.shape
-    return H
+    Cox: rr(x) * H0(t) with rr(x) = exp(beta @ (x - feature_means)).
+    Weibull AFT: (t / lam(x))**shape. The Kaplan-Meier model has no such
+    form: its hazard is taken from its survival curve.
+    """
+    X = _checked_features(model, X)
+    if isinstance(model, CoxModel):
+        # row-wise reduction, not a matvec: keeps each row's linear predictor
+        # bit-identical regardless of how the rows are batched
+        relative_risk = np.exp(((X - model.feature_means) * model.beta).sum(axis=1))
+        return np.outer(relative_risk, model.baseline_chf.evaluate(grid.points))
+    if isinstance(model, WeibullAftModel):
+        lam = np.exp(model.intercept + (X * model.coefficients).sum(axis=1))
+        H = grid.points[None, :] / lam[:, None]
+        H **= model.shape
+        return H
+    raise InputError(f"unsupported model type {type(model).__name__}")
 
 
 def predict_survival_matrix(model, X: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Survival probabilities for every row of ``X`` at every grid point.
 
-    Returns an (n, len(grid)) array in [0, 1]: the Cox and Weibull forms
-    are exp of a non-positive number, so only the Kaplan-Meier curve, which
-    a user may build slightly outside [0, 1], is clipped.
+    Returns an (n, len(grid)) array in [0, 1]: exp(-H) of
+    :func:`predict_cumulative_hazard_matrix` for Cox and Weibull AFT, and the
+    Kaplan-Meier curve, which a user may build slightly outside [0, 1],
+    clipped.
     """
-    X = _checked_features(model, X)
     if isinstance(model, KaplanMeierModel):
-        values = model.curve.evaluate(grid.points)
-        return np.clip(np.broadcast_to(values, (X.shape[0], len(grid))).copy(), 0.0, 1.0)
-    # exp and negation run in place: a fresh (n, T) result costs more in
+        X = _checked_features(model, X)
+        curve = np.clip(model.curve.evaluate(grid.points), 0.0, 1.0)
+        return np.broadcast_to(curve, (X.shape[0], len(grid))).copy()
+    # negation and exp run in place: a fresh (n, T) result costs more in
     # page faults than the arithmetic does
-    if isinstance(model, CoxModel):
-        relative_risk, h0 = _cox_factors(model, X, grid)
-        exponent = np.outer(-relative_risk, h0)
-    elif isinstance(model, WeibullAftModel):
-        exponent = _weibull_chf(model, X, grid)
-        np.negative(exponent, out=exponent)
-    else:
-        raise InputError(f"unsupported model type {type(model).__name__}")
-    return np.exp(exponent, out=exponent)
-
-
-def predict_cumulative_hazard_matrix(model, X: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Cumulative hazard of a Cox or Weibull AFT model for every row of ``X``
-    at every grid point, (n, len(grid)), uncapped.
-
-    It is the H whose exp(-H) :func:`predict_survival_matrix` returns, with
-    the same input checks. The Kaplan-Meier model has no such form: its
-    hazard is taken from its survival curve.
-    """
-    X = _checked_features(model, X)
-    if isinstance(model, CoxModel):
-        return np.outer(*_cox_factors(model, X, grid))
-    if isinstance(model, WeibullAftModel):
-        return _weibull_chf(model, X, grid)
-    raise InputError(f"no cumulative hazard form for model type {type(model).__name__}")
+    H = predict_cumulative_hazard_matrix(model, X, grid)
+    np.negative(H, out=H)
+    return np.exp(H, out=H)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from survival_explain import censoring_km, kaplan_meier, nelson_aalen
 
-from conftest import make_dataset
+from conftest import make_dataset, simulate_cohort
 
 
 def brute_force_km(times, events):
@@ -109,3 +109,10 @@ class TestCensoringKm:
     def test_no_censoring_gives_flat_one(self):
         curve = censoring_km(make_dataset([1, 2, 3], [1, 1, 1]))
         assert np.all(curve.values == 1.0)
+
+    def test_is_the_product_limit_of_the_flipped_events_bitwise(self):
+        data = simulate_cohort(3000, 2, seed=3)
+        curve = censoring_km(data)
+        flipped = kaplan_meier(make_dataset(data.times, 1 - data.events, data.features))
+        assert np.array_equal(curve.times, flipped.times)
+        assert np.array_equal(curve.values, flipped.values)

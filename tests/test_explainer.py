@@ -158,6 +158,15 @@ BAD_OUTPUT = {
     "short": (InputError, "does not match grid length .* for row {}$"),
 }
 
+#: Batch outputs numpy cannot turn into an (n, T) float matrix.
+BAD_BATCH = {
+    "strings": lambda n, T: [["0.5x"] * T for _ in range(n)],
+    "objects": lambda n, T: [[object()] * T for _ in range(n)],
+    "object": lambda n, T: object(),
+    # rows 2 and on are one point short
+    "ragged": lambda n, T: [np.full(T if i < 2 else T - 1, 0.5) for i in range(n)],
+}
+
 DRIVERS = {
     "survshap": lambda ex: predict_parts_survshap(ex, ex.background.features[0]),
     "pdp": lambda ex: model_profile(ex, "age"),
@@ -200,6 +209,43 @@ class TestOutputCheckedOnEveryCall:
                 background=cox_data,
                 grid=default_time_grid(cox_data),
             )
+
+    @pytest.mark.parametrize("kind", ["strings", "objects", "object"])
+    def test_batch_callable_of_non_numeric_output_rejected_at_construction(self, cox_data, kind):
+        with pytest.raises(InputError, match="^prediction must be numeric$"):
+            Explainer(
+                model=lambda X, g: BAD_BATCH[kind](len(X), len(g)),
+                background=cox_data,
+                grid=default_time_grid(cox_data),
+            )
+
+    @pytest.mark.parametrize("kind", BAD_BATCH)
+    def test_batch_callable_of_bad_output_rejected_at_predict(self, cox_data, kind):
+        def good_for_one_row(X, grid):
+            if len(X) == 1:
+                return np.exp(-np.outer(np.ones(1), grid.points) / 10.0)
+            return BAD_BATCH[kind](len(X), len(grid))
+
+        explainer = Explainer(
+            model=good_for_one_row, background=cox_data, grid=default_time_grid(cox_data)
+        )
+        T = len(explainer.grid)
+        message = {
+            "ragged": f"^prediction length {T - 1} does not match grid length {T} for row 2$"
+        }.get(kind, "^prediction must be numeric$")
+        with pytest.raises(InputError, match=message):
+            explainer.predict(cox_data.features[:5])
+
+    @pytest.mark.parametrize("fit", [fit_cox, fit_weibull_aft])
+    def test_background_wider_than_the_model_rejected_at_construction(self, cox_data, fit):
+        model = fit(cox_data)
+        wider = make_dataset(
+            cox_data.times,
+            cox_data.events,
+            np.column_stack([cox_data.features, np.ones(cox_data.n_observations)]),
+        )
+        with pytest.raises(InputError, match="^feature matrix has 3 columns, model expects 2$"):
+            explain(model, wider)
 
     @pytest.mark.parametrize("fit", [fit_cox, fit_weibull_aft, fit_kaplan_meier])
     def test_builtin_survival_matrix_is_the_model_prediction(self, cox_data, fit):

@@ -7,7 +7,11 @@ import pytest
 from survival_explain import (
     FitError,
     InputError,
+    NumericError,
+    StepCurve,
     TimeGrid,
+    brier_score,
+    explain,
     fit_cox,
     fit_kaplan_meier,
     fit_weibull_aft,
@@ -17,6 +21,7 @@ from survival_explain.models import (
     cox_gradient,
     cox_hessian,
     cox_partial_loglik,
+    predict_cumulative_hazard_matrix,
     predict_survival_matrix,
     weibull_aft_gradient,
     weibull_aft_hessian,
@@ -433,3 +438,44 @@ class TestPredictSurvival:
         lam = np.exp(fitted.intercept + fitted.coefficients @ x)
         expected = np.exp(-((grid.points / lam) ** fitted.shape))
         assert np.allclose(curve, expected, atol=1e-12)
+
+
+class TestOneFormulaPerModel:
+    """Survival is exp(-H) of the one cumulative-hazard formula of each model."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("fit", [fit_cox, fit_weibull_aft])
+    def test_survival_is_exp_of_minus_the_hazard_bitwise(self, fit, seed):
+        data = simulate_cohort(3000, 6, seed)
+        model = fit(data)
+        grid = TimeGrid(points=np.unique(data.times[data.events == 1]))
+        H = predict_cumulative_hazard_matrix(model, data.features, grid)
+        assert np.array_equal(predict_survival_matrix(model, data.features, grid), np.exp(-H))
+
+    @pytest.mark.parametrize("fit", [fit_cox, fit_weibull_aft])
+    def test_nan_coefficient_gives_nan_survival_and_fails_the_brier_score(self, fit, cox_data):
+        model = fit(cox_data)
+        explainer = explain(model, cox_data)
+        if isinstance(model, models.CoxModel):
+            model.beta = np.array([np.nan, 0.5])
+        else:
+            model.coefficients = np.array([np.nan, 0.5])
+        assert np.isnan(predict_survival_matrix(model, cox_data.features, explainer.grid)).all()
+        with pytest.raises(NumericError, match="predicted survival is not finite for row 0"):
+            brier_score(explainer, cox_data)
+
+    def test_every_kaplan_meier_row_is_the_clipped_curve(self):
+        # a hand-built curve may stray past [0, 1] within the shape tolerance
+        curve = StepCurve(np.array([1.0, 2.0, 3.0]), np.array([1.0 + 5e-10, 0.5, -5e-10]), "survival")
+        grid = TimeGrid(points=np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.0]))
+        matrix = predict_survival_matrix(models.KaplanMeierModel(curve), np.empty((4, 2)), grid)
+        clipped = np.clip(curve.evaluate(grid.points), 0.0, 1.0)
+        assert clipped[1] == 1.0 and clipped[-1] == 0.0
+        for row in matrix:
+            assert np.array_equal(row, clipped)
+
+    def test_unsupported_model_is_an_input_error(self):
+        grid = TimeGrid(points=np.array([1.0, 2.0]))
+        for predict in (predict_survival_matrix, predict_cumulative_hazard_matrix):
+            with pytest.raises(InputError, match="^unsupported model type object$"):
+                predict(object(), np.zeros((2, 1)), grid)

@@ -90,6 +90,13 @@ class ResidualSet:
     events: np.ndarray
 
 
+def _seed_sequence(seed, spawn_key=()) -> np.random.SeedSequence:
+    """The sub-seed of a non-negative integer ``seed`` at ``spawn_key``."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError("seed must be a non-negative integer")
+    return np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
+
+
 def _replicate_standard_error(replicates: np.ndarray):
     """Standard error of the mean over the first axis of ``replicates``;
     None below two replicates, whose spread is undefined."""
@@ -132,6 +139,7 @@ def model_parts(
     """
     if n_permutations < 1:
         raise InputError("n_permutations must be at least 1")
+    _seed_sequence(seed)  # a bad seed fails before the first prediction
     data = explainer.background if data is None else data
     if isinstance(loss, str):
         loss_of = _prepared_loss(loss, explainer, data)
@@ -147,9 +155,7 @@ def model_parts(
         j = data.column_index(name)
         replicates = []
         for rep in range(n_permutations):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(j, rep))
-            )
+            rng = np.random.default_rng(_seed_sequence(seed, (j, rep)))
             shuffled = data.features.copy()
             shuffled[:, j] = shuffled[rng.permutation(data.n_observations), j]
             replicates.append(loss_of(shuffled))

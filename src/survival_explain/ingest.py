@@ -83,7 +83,8 @@ def ingest_csv(path, time_column: str, event_column: str) -> SurvivalDataset:
     reads it. Rows are 1-based in error messages (the header row is row 0,
     and blank lines after it keep their numbers). Missing, non-numeric and
     non-finite cells and negative times are rejected, never imputed, with
-    the row and column of the first such cell.
+    the row and column of the first such cell. The time and event columns
+    must each appear once in the header.
     """
     if time_column == event_column:
         raise InputError("time column and event column must differ")
@@ -99,8 +100,11 @@ def ingest_csv(path, time_column: str, event_column: str) -> SurvivalDataset:
         if header is None:
             raise InputError(f"{path}: empty file, expected a header row")
         for required in (time_column, event_column):
-            if required not in header:
+            count = header.count(required)
+            if count == 0:
                 raise InputError(f"column {required!r} not found in CSV header")
+            if count > 1:
+                raise InputError(f"column {required!r} appears {count} times in the CSV header")
         time_idx = header.index(time_column)
         event_idx = header.index(event_column)
         feature_idx = [k for k in range(len(header)) if k not in (time_idx, event_idx)]

@@ -31,6 +31,7 @@ from .global_explain import (
     _STACK_CELLS,
     _check_grid_size,
     _replicate_standard_error,
+    _seed_sequence,
     _stacked_means,
     background_sample,
 )
@@ -271,10 +272,10 @@ def predict_parts_survshap(
     if method == "sampling" and n_permutations < 1:
         raise InputError("n_permutations must be at least 1")
 
-    if isinstance(seed, np.random.SeedSequence):
+    if isinstance(seed, np.random.SeedSequence):  # a row's sub-seed from model_survshap
         seed_sequence, seed_out = seed, None
     else:
-        seed_sequence, seed_out = np.random.SeedSequence(entropy=seed), seed
+        seed_sequence, seed_out = _seed_sequence(seed), seed
 
     background = background_sample(explainer.background.features, n_background)
     if method == "exact":
@@ -313,7 +314,7 @@ def predict_parts_survlime(
         raise InputError("n_neighbors must be at least 2")
     features = explainer.background.features
     scale = features.std(axis=0)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    rng = np.random.default_rng(_seed_sequence(seed))
     # zero-variance features get scale 0 and stay pinned at the instance value
     neighbors = x[None, :] + rng.standard_normal((n_neighbors, len(x))) * scale[None, :]
 
@@ -392,6 +393,8 @@ def predict_profile(
         grid_values = np.unique(np.append(_quantile_grid(column, grid_size), x[j]))
     else:
         grid_values = np.unique(np.asarray(grid_values, dtype=float))
+        if not grid_values.size:
+            raise InputError("grid_values must be nonempty")
         if not np.all(np.isfinite(grid_values)):
             raise InputError("grid_values must be finite")
 
@@ -430,7 +433,7 @@ def model_survshap(
 
     per_instance = []
     for i, row in enumerate(X):
-        row_seed = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+        row_seed = _seed_sequence(seed, (i,))
         try:
             per_instance.append(
                 predict_parts_survshap(

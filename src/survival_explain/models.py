@@ -103,19 +103,6 @@ def _cox_objective(times, events, features):
     return evaluate, baseline
 
 
-def cox_partial_loglik(beta, times, events, features) -> float:
-    """Breslow partial log-likelihood at ``beta`` (no internal centering)."""
-    return _cox_objective(times, events, features)[0](beta, derivatives=False)
-
-
-def cox_gradient(beta, times, events, features) -> np.ndarray:
-    return _cox_objective(times, events, features)[0](beta)[1]
-
-
-def cox_hessian(beta, times, events, features) -> np.ndarray:
-    return _cox_objective(times, events, features)[0](beta)[2]
-
-
 # ---------------------------------------------------------------------------
 # Weibull AFT log-likelihood and derivatives
 # ---------------------------------------------------------------------------
@@ -129,10 +116,12 @@ _QUIET_OVERFLOW = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 def _weibull_objective(times, events, features):
     """Return ``evaluate(params, derivatives=True)``, called like the Cox one.
 
-    ``params`` is theta = (k, k*b, k*beta) for shape k, intercept b and
-    coefficients beta. With u_i = (log t_i, -1, -x_i), w_i = u_i . theta is
-    linear in theta, so the log-likelihood E log k + sum(e w - e log t - exp w)
-    is concave for k > 0 (E is the event count).
+    It gives the right-censored Weibull AFT log-likelihood: an event at t
+    contributes the log density, a censoring contributes log S(t). ``params``
+    is theta = (k, k*b, k*beta) for shape k, intercept b and coefficients
+    beta. With u_i = (log t_i, -1, -x_i), w_i = u_i . theta is linear in
+    theta, so the log-likelihood E log k + sum(e w - e log t - exp w) is
+    concave for k > 0 (E is the event count) and non-finite for k <= 0.
     """
     log_t = np.log(times)
     U = np.column_stack((log_t, -np.ones(len(times)), -features))
@@ -155,29 +144,6 @@ def _weibull_objective(times, events, features):
         return ll, grad, H
 
     return evaluate
-
-
-def weibull_aft_loglik(params, times, events, features) -> float:
-    """Right-censored Weibull AFT log-likelihood.
-
-    ``params`` is ``(shape, shape * intercept, *(shape * coefficients))``: an
-    event at t contributes the log density, a censoring contributes log S(t).
-    The log-likelihood is concave in these coordinates and non-finite for a
-    shape <= 0.
-    """
-    return _weibull_objective(times, events, features)(params, derivatives=False)
-
-
-def weibull_aft_gradient(params, times, events, features) -> np.ndarray:
-    """Gradient of ``weibull_aft_loglik`` in its (shape, shape * intercept,
-    shape * coefficients) coordinates."""
-    return _weibull_objective(times, events, features)(params)[1]
-
-
-def weibull_aft_hessian(params, times, events, features) -> np.ndarray:
-    """Hessian of ``weibull_aft_loglik`` in its (shape, shape * intercept,
-    shape * coefficients) coordinates."""
-    return _weibull_objective(times, events, features)(params)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,19 @@ def _series_points(series) -> list[tuple[float, float]]:
     ]
 
 
+def _line(x1, y1, x2, y2, stroke="#333333", width=1) -> str:
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _text(x, y, size, content, anchor="", transform="") -> str:
+    """A sans-serif ``<text>`` element with ``content`` escaped."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    transform = f' transform="{transform}"' if transform else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" font-size="{size}"{transform}>'
+            f"{_escape(str(content))}</text>")
+
+
 def render_line_chart(series_list, title: str = "", x_label: str = "time", y_label: str = "value") -> str:
     """Render a list of ``{"label", "x", "y"}`` series as an SVG document.
 
@@ -90,71 +103,36 @@ def render_line_chart(series_list, title: str = "", x_label: str = "time", y_lab
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
     ]
+    mid_x, mid_y = _coord(MARGIN_LEFT + plot_w / 2), _coord(MARGIN_TOP + plot_h / 2)
     if title:
-        parts.append(
-            f'<text x="{_coord(MARGIN_LEFT + plot_w / 2)}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
-        )
+        parts.append(_text(mid_x, 20, 14, title, anchor="middle"))
 
     # axes and ticks
     axis_y = MARGIN_TOP + plot_h
-    parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{axis_y}" x2="{MARGIN_LEFT + plot_w}" y2="{axis_y}" '
-        'stroke="#333333" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" y2="{axis_y}" '
-        'stroke="#333333" stroke-width="1"/>'
-    )
+    parts += [_line(MARGIN_LEFT, axis_y, MARGIN_LEFT + plot_w, axis_y),
+              _line(MARGIN_LEFT, MARGIN_TOP, MARGIN_LEFT, axis_y)]
     for k in range(N_TICKS):
         frac = k / (N_TICKS - 1)
         tx = x_lo + frac * (x_hi - x_lo)
-        px = sx(tx)
-        parts.append(
-            f'<line x1="{_coord(px)}" y1="{axis_y}" x2="{_coord(px)}" y2="{axis_y + 5}" '
-            'stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_coord(px)}" y="{axis_y + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_escape(_tick_label(tx))}</text>'
-        )
+        px = _coord(sx(tx))
+        parts += [_line(px, axis_y, px, axis_y + 5),
+                  _text(px, axis_y + 18, 11, _tick_label(tx), anchor="middle")]
         ty = y_lo + frac * (y_hi - y_lo)
         py = sy(ty)
-        parts.append(
-            f'<line x1="{MARGIN_LEFT - 5}" y1="{_coord(py)}" x2="{MARGIN_LEFT}" y2="{_coord(py)}" '
-            'stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{_coord(py + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_escape(_tick_label(ty))}</text>'
-        )
-    parts.append(
-        f'<text x="{_coord(MARGIN_LEFT + plot_w / 2)}" y="{HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_coord(MARGIN_TOP + plot_h / 2)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {_coord(MARGIN_TOP + plot_h / 2)})">{_escape(y_label)}</text>'
-    )
+        parts += [_line(MARGIN_LEFT - 5, _coord(py), MARGIN_LEFT, _coord(py)),
+                  _text(MARGIN_LEFT - 8, _coord(py + 4), 11, _tick_label(ty), anchor="end")]
+    parts += [_text(mid_x, HEIGHT - 10, 12, x_label, anchor="middle"),
+              _text(16, mid_y, 12, y_label, anchor="middle", transform=f"rotate(-90 16 {mid_y})")]
 
     # polylines and legend
     for i, (label, pts) in enumerate(cleaned):
         color = PALETTE[i % len(PALETTE)]
         coords = " ".join(f"{_coord(sx(x))},{_coord(sy(y))}" for x, y in pts)
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
         ly = MARGIN_TOP + 14 + 18 * i
         lx = MARGIN_LEFT + plot_w + 12
-        parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 24}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{_escape(str(label))}</text>'
-        )
+        parts += [f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>',
+                  _line(lx, ly - 4, lx + 18, ly - 4, stroke=color, width=2),
+                  _text(lx + 24, ly, 11, label)]
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -34,7 +34,7 @@ from survival_explain import (
     predict_profile,
 )
 from survival_explain.cli import main as cli_main
-from survival_explain.models import CoxModel, cox_gradient, cox_hessian, cox_partial_loglik
+from survival_explain.models import CoxModel, _cox_objective
 
 from conftest import make_dataset, simulate_cox
 
@@ -112,21 +112,21 @@ def fd_hessian(fn, theta, h):
 def test_criterion_2_cox_derivatives_and_grid_search():
     with criterion(2, "Cox derivatives match finite differences; beta matches grid search", 5.0):
         data = simulate_cox(n=60, beta=[0.8, -0.5], seed=11)
-        fn = lambda b: cox_partial_loglik(b, data.times, data.events, data.features)
+        # the objective a fit prepares once, evaluated at every point as the fit does
+        evaluate = _cox_objective(data.times, data.events, data.features)[0]
+        fn = lambda b: evaluate(b, derivatives=False)
         rng = np.random.default_rng(0)
         for _ in range(5):
             beta = rng.uniform(-1.0, 1.0, size=2)
-            grad = cox_gradient(beta, data.times, data.events, data.features)
-            hess = cox_hessian(beta, data.times, data.events, data.features)
+            _, grad, hess = evaluate(beta)
             grad_fd = fd_gradient(fn, beta, h=1e-5)
             hess_fd = fd_hessian(fn, beta, h=1e-4)
             assert np.all(np.abs(grad - grad_fd) <= 1e-5 * np.maximum(1.0, np.abs(grad_fd)))
             assert np.all(np.abs(hess - hess_fd) <= 1e-5 * np.maximum(1.0, np.abs(hess_fd)))
 
         single = simulate_cox(n=40, beta=[0.7], seed=5)
-        score = lambda b: cox_partial_loglik(
-            np.array([b]), single.times, single.events, single.features
-        )
+        evaluate_single = _cox_objective(single.times, single.events, single.features)[0]
+        score = lambda b: evaluate_single(np.array([b]), derivatives=False)
         lo, hi = -3.0, 3.0
         best = 0.0
         for _ in range(4):

@@ -313,6 +313,33 @@ class TestErrorExits:
         assert err == f"error: grid size must be at least 1, got {grid_size}\n"
         assert not (tmp_path / f"{command}.json").exists()
 
+    @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("parts", ("--loss", "one_minus_cindex", "--n-permutations", "1")),
+            ("shap", ("--row", "0")),
+            ("shap", ("--row", "0", "--method", "exact")),
+            ("lime", ("--row", "0", "--n-neighbors", "20")),
+            ("survshap-global", ("--max-rows", "2")),
+        ],
+        ids=["parts", "shap", "shap-exact", "lime", "survshap-global"],
+    )
+    def test_negative_seed_exits_2(self, command, extra, corpus_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli(command, corpus_csv, out, *extra, "--seed", "-1") == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer\n"
+        assert list(out.iterdir()) == []
+
+    def test_repeated_time_column_exits_2(self, tmp_path, capsys):
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text("time,event,time\n5,1,3\n2,0,4\n7,1,1\n")
+        out = tmp_path / "out"
+        assert cli("fit", str(repeated), out) == 2
+        assert capsys.readouterr().err == (
+            "error: column 'time' appears 2 times in the CSV header\n"
+        )
+        assert list(out.iterdir()) == []
+
     def test_cox_without_events_exits_3(self, tmp_path, capsys):
         censored = tmp_path / "censored.csv"
         censored.write_text("time,event,x\n1,0,0.1\n2,0,0.3\n3,0,0.5\n")

@@ -88,6 +88,26 @@ class TestDiagnostics:
         with pytest.raises(InputError, match="column 'status' not found in CSV header"):
             ingest_csv(path, time_column="time", event_column="status")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("time,event,time\n5,1,3\n", "column 'time' appears 2 times in the CSV header"),
+            ("event,x,time,event,event\n1,2,5,1,1\n",
+             "column 'event' appears 3 times in the CSV header"),
+        ],
+    )
+    def test_repeated_time_or_event_column(self, tmp_path, text, message):
+        # one of the copies would otherwise be read as a feature of the same name
+        path = write_csv(tmp_path / "repeated.csv", text)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            ingest_csv(path, time_column="time", event_column="event")
+        assert_matches_reference(tmp_path, text)
+
+    def test_repeated_feature_column_keeps_the_dataset_message(self, tmp_path):
+        path = write_csv(tmp_path / "repeated.csv", "time,event,x,x\n1,0,2,3\n")
+        with pytest.raises(InputError, match="feature names must be unique"):
+            ingest_csv(path, time_column="time", event_column="event")
+
     def test_ragged_row_coordinates(self, tmp_path):
         path = write_csv(tmp_path / "ragged.csv", "time,event,x\n1,1,2\n3,0\n")
         with pytest.raises(InputError, match=r"row 2 has 2 cells, header has 3"):
@@ -195,6 +215,9 @@ def reference_ingest(path, text, time_column, event_column):
     if not records:
         raise InputError(f"{path}: empty file, expected a header row")
     header = records[0]
+    for name in (time_column, event_column):
+        if header.count(name) > 1:
+            raise InputError(f"column {name!r} appears {header.count(name)} times in the CSV header")
     time_idx, event_idx = header.index(time_column), header.index(event_column)
     feature_idx = [k for k in range(len(header)) if k not in (time_idx, event_idx)]
     times, events, features = [], [], []

@@ -17,6 +17,7 @@ from survival_explain import (
     fit_cox,
     fit_kaplan_meier,
     fit_weibull_aft,
+    model_parts,
     model_profile,
     model_profile_2d,
     model_survshap,
@@ -537,6 +538,10 @@ class TestIceProfile:
                 cox_explainer, cox_data.features[0], "x0", grid_values=[0.0, np.inf]
             )
 
+    def test_empty_grid_values_rejected(self, cox_data, cox_explainer):
+        with pytest.raises(InputError, match="^grid_values must be nonempty$"):
+            predict_profile(cox_explainer, cox_data.features[0], "x0", grid_values=[])
+
 
 class TestModelSurvShap:
     def test_single_instance_aggregates_are_its_own(self, cox_data, cox_explainer):
@@ -572,6 +577,43 @@ class TestModelSurvShap:
         X[1, 0] = np.nan
         with pytest.raises(InputError, match="row 1: instance contains non-finite"):
             model_survshap(cox_explainer, X)
+
+
+SEEDED_ENTRIES = {
+    "model_parts": lambda explainer, seed: model_parts(explainer, n_permutations=1, seed=seed),
+    "survshap exact": lambda explainer, seed: predict_parts_survshap(
+        explainer, explainer.background.features[0], method="exact", seed=seed
+    ),
+    "survshap sampling": lambda explainer, seed: predict_parts_survshap(
+        explainer, explainer.background.features[0], method="sampling", seed=seed
+    ),
+    "survlime": lambda explainer, seed: predict_parts_survlime(
+        explainer, explainer.background.features[0], seed=seed
+    ),
+    "model_survshap": lambda explainer, seed: model_survshap(
+        explainer, explainer.background.features[:2], seed=seed
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40), 1.5])
+@pytest.mark.parametrize("entry", sorted(SEEDED_ENTRIES))
+def test_bad_seed_rejected_before_any_prediction(entry, seed):
+    data = simulate_cohort(30, 3, seed=2)
+    model = CountingBatchModel()
+    explainer = Explainer(model, data, default_time_grid(data))
+    calls = model.calls
+    with pytest.raises(InputError, match="^seed must be a non-negative integer$"):
+        SEEDED_ENTRIES[entry](explainer, seed)
+    assert model.calls == calls
+
+
+@pytest.mark.parametrize("entry", sorted(SEEDED_ENTRIES))
+def test_zero_and_numpy_integer_seeds_accepted(entry):
+    data = simulate_cohort(30, 3, seed=2)
+    explainer = Explainer(CountingBatchModel(), data, default_time_grid(data))
+    SEEDED_ENTRIES[entry](explainer, 0)
+    SEEDED_ENTRIES[entry](explainer, np.int64(3))
 
 
 LOCAL_EXPLANATIONS = {

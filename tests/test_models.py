@@ -18,17 +18,27 @@ from survival_explain import (
 )
 from survival_explain import models
 from survival_explain.models import (
-    cox_gradient,
-    cox_hessian,
-    cox_partial_loglik,
+    _cox_objective,
+    _weibull_objective,
     predict_cumulative_hazard_matrix,
     predict_survival_matrix,
-    weibull_aft_gradient,
-    weibull_aft_hessian,
-    weibull_aft_loglik,
 )
 
 from conftest import make_dataset, simulate_cohort, simulate_cox
+
+
+def cox_evaluate(data):
+    """The Breslow objective a Cox fit on ``data``'s raw features maximizes."""
+    return _cox_objective(data.times, data.events, data.features)[0]
+
+
+def weibull_evaluate(data):
+    """The Weibull AFT objective a fit on ``data``'s raw features maximizes."""
+    return _weibull_objective(data.times, data.events, data.features)
+
+
+def loglik_only(evaluate):
+    return lambda theta: evaluate(theta, derivatives=False)
 
 
 def loop_partial_loglik(beta, times, events, features):
@@ -71,33 +81,35 @@ def finite_difference_hessian(fn, theta, h):
 class TestCoxDerivatives:
     def test_loglik_matches_loop_oracle(self, cox_data):
         beta = np.array([0.3, -0.7])
-        value = cox_partial_loglik(beta, cox_data.times, cox_data.events, cox_data.features)
+        value = cox_evaluate(cox_data)(beta, derivatives=False)
         oracle = loop_partial_loglik(beta, cox_data.times, cox_data.events, cox_data.features)
         assert value == pytest.approx(oracle, rel=1e-12)
 
     def test_loglik_handles_ties_breslow(self):
         data = make_dataset([2, 2, 3, 4], [1, 1, 1, 0], [[0.0], [1.0], [0.5], [1.5]])
         beta = np.array([0.4])
-        value = cox_partial_loglik(beta, data.times, data.events, data.features)
+        value = cox_evaluate(data)(beta, derivatives=False)
         oracle = loop_partial_loglik(beta, data.times, data.events, data.features)
         assert value == pytest.approx(oracle, rel=1e-12)
 
     def test_gradient_matches_finite_differences(self, cox_data):
         rng = np.random.default_rng(5)
-        fn = lambda b: cox_partial_loglik(b, cox_data.times, cox_data.events, cox_data.features)
+        evaluate = cox_evaluate(cox_data)
+        fn = loglik_only(evaluate)
         for _ in range(5):
             beta = rng.normal(scale=0.5, size=2)
-            analytic = cox_gradient(beta, cox_data.times, cox_data.events, cox_data.features)
+            analytic = evaluate(beta)[1]
             numeric = finite_difference_gradient(fn, beta, h=1e-5)
             scale = max(1.0, np.abs(analytic).max())
             assert np.abs(analytic - numeric).max() / scale < 1e-5
 
     def test_hessian_matches_finite_differences(self, cox_data):
         rng = np.random.default_rng(6)
-        fn = lambda b: cox_partial_loglik(b, cox_data.times, cox_data.events, cox_data.features)
+        evaluate = cox_evaluate(cox_data)
+        fn = loglik_only(evaluate)
         for _ in range(5):
             beta = rng.normal(scale=0.5, size=2)
-            analytic = cox_hessian(beta, cox_data.times, cox_data.events, cox_data.features)
+            analytic = evaluate(beta)[2]
             numeric = finite_difference_hessian(fn, beta, h=1e-3)
             scale = max(1.0, np.abs(analytic).max())
             assert np.abs(analytic - numeric).max() / scale < 1e-5
@@ -149,11 +161,12 @@ class TestCoxTiedTimes:
 
     def test_derivatives_match_loop_and_finite_differences(self, tied):
         t, e, X = tied.times, tied.events, tied.features
-        fn = lambda b: cox_partial_loglik(b, t, e, X)
+        evaluate = cox_evaluate(tied)
+        fn = loglik_only(evaluate)
         rng = np.random.default_rng(8)
         for _ in range(3):
             beta = rng.normal(scale=0.5, size=3)
-            grad, hess = cox_gradient(beta, t, e, X), cox_hessian(beta, t, e, X)
+            _, grad, hess = evaluate(beta)
             loop_grad, loop_hess = loop_breslow_derivatives(beta, t, e, X)
             np.testing.assert_allclose(grad, loop_grad, rtol=1e-10, atol=1e-10)
             np.testing.assert_allclose(hess, loop_hess, rtol=1e-10, atol=1e-10)
@@ -209,7 +222,7 @@ class TestFitCox:
 
     def test_gradient_is_zero_at_optimum(self, cox_data):
         fitted = fit_cox(cox_data)
-        grad = cox_gradient(fitted.beta, cox_data.times, cox_data.events, cox_data.features)
+        grad = cox_evaluate(cox_data)(fitted.beta)[1]
         assert np.abs(grad).max() < 1e-6
 
     def test_zero_variance_column_gets_exact_zero(self):
@@ -245,8 +258,8 @@ class TestFitCox:
 
 
 def shape_scaled(log_shape_params):
-    """Map (log shape, intercept, *coefficients) to the wrappers' coordinates
-    (shape, shape * intercept, *(shape * coefficients))."""
+    """Map (log shape, intercept, *coefficients) to the Weibull objective's
+    coordinates (shape, shape * intercept, *(shape * coefficients))."""
     params = np.asarray(log_shape_params, dtype=float)
     shape = np.exp(params[0])
     return np.concatenate(([shape], shape * params[1:]))
@@ -255,20 +268,22 @@ def shape_scaled(log_shape_params):
 class TestWeibullAft:
     def test_gradient_matches_finite_differences(self, cox_data):
         rng = np.random.default_rng(7)
-        fn = lambda p: weibull_aft_loglik(p, cox_data.times, cox_data.events, cox_data.features)
+        evaluate = weibull_evaluate(cox_data)
+        fn = loglik_only(evaluate)
         for _ in range(5):
             params = shape_scaled(np.concatenate(
                 [[rng.normal(scale=0.2)], [rng.normal(loc=1.0)], rng.normal(scale=0.3, size=2)]
             ))
-            analytic = weibull_aft_gradient(params, cox_data.times, cox_data.events, cox_data.features)
+            analytic = evaluate(params)[1]
             numeric = finite_difference_gradient(fn, params, h=1e-5)
             scale = max(1.0, np.abs(analytic).max())
             assert np.abs(analytic - numeric).max() / scale < 1e-5
 
     def test_hessian_matches_finite_differences(self, cox_data):
-        fn = lambda p: weibull_aft_loglik(p, cox_data.times, cox_data.events, cox_data.features)
+        evaluate = weibull_evaluate(cox_data)
+        fn = loglik_only(evaluate)
         params = shape_scaled([0.1, 1.2, 0.3, -0.2])
-        analytic = weibull_aft_hessian(params, cox_data.times, cox_data.events, cox_data.features)
+        analytic = evaluate(params)[2]
         numeric = finite_difference_hessian(fn, params, h=1e-3)
         scale = max(1.0, np.abs(analytic).max())
         assert np.abs(analytic - numeric).max() / scale < 1e-5
@@ -294,12 +309,11 @@ class TestWeibullAft:
         # t above about 1.7; a Newton step can land there, and the step-halving
         # needs a non-finite value to reject it
         params = np.array([1390.0, 1.0, 0.3, -0.2])
-        args = (cox_data.times, cox_data.events, cox_data.features)
+        evaluate = weibull_evaluate(cox_data)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            loglik = weibull_aft_loglik(params, *args)
-            gradient = weibull_aft_gradient(params, *args)
-            hessian = weibull_aft_hessian(params, *args)
+            loglik = evaluate(params, derivatives=False)
+            _, gradient, hessian = evaluate(params)
         assert not np.isfinite(loglik)
         assert gradient.shape == (4,)
         assert hessian.shape == (4, 4)
@@ -309,9 +323,7 @@ class TestWeibullAft:
         # a Newton step can cross shape 0, and the step-halving rejects it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            loglik = weibull_aft_loglik(
-                [shape, 1.0, 0.3, -0.2], cox_data.times, cox_data.events, cox_data.features
-            )
+            loglik = weibull_evaluate(cox_data)([shape, 1.0, 0.3, -0.2], derivatives=False)
         assert not np.isfinite(loglik)
 
     def test_converged_only_at_a_stationary_point(self):

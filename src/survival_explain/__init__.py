@@ -42,7 +42,6 @@ from .metrics import (
     cd_auc,
     concordance_index,
     integrated_mean,
-    loss_adapter,
     roc_at_time,
 )
 from .models import (
@@ -89,7 +88,6 @@ __all__ = [
     "ingest_csv",
     "integrated_mean",
     "kaplan_meier",
-    "loss_adapter",
     "model_diagnostics",
     "model_parts",
     "model_profile",

@@ -69,28 +69,34 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--event-col", required=True, help="name of the 0/1 event column")
     shared.add_argument("--model", choices=("km", "cox", "weibull_aft"), default="cox")
     shared.add_argument("--out", default=".", help="output directory (default: current)")
-    shared.add_argument("--seed", type=int, default=42)
-    shared.add_argument("--svg", action="store_true", help="also render the curves to SVG")
+    # the commands that draw at random
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=42)
+    # the commands that can draw a curve
+    plotted = argparse.ArgumentParser(add_help=False)
+    plotted.add_argument("--svg", action="store_true", help="also render the curves to SVG")
 
-    def model_command(name, help_text):
-        return commands.add_parser(name, help=help_text, parents=[shared])
+    def model_command(name, help_text, *parents):
+        return commands.add_parser(name, help=help_text, parents=[shared, *parents])
 
-    model_command("fit", "fit a model and dump its parameters")
+    model_command("fit", "fit a model and dump its parameters", plotted)
 
-    sub = model_command("predict", "prediction for one data row")
+    sub = model_command("predict", "prediction for one data row", plotted)
     sub.add_argument("--row", type=int, default=0)
     sub.add_argument("--output-type", choices=OUTPUT_TYPES, default="survival")
 
-    sub = model_command("performance", "Brier score, cumulative/dynamic AUC, concordance index")
+    sub = model_command(
+        "performance", "Brier score, cumulative/dynamic AUC, concordance index", plotted
+    )
     sub.add_argument("--at-time", type=float, default=None, help="also compute a ROC curve at this time")
 
-    sub = model_command("parts", "permutation variable importance")
+    sub = model_command("parts", "permutation variable importance", seeded, plotted)
     sub.add_argument("--loss", choices=LOSS_NAMES, default="brier_integrated")
     sub.add_argument("--n-permutations", type=int, default=10)
     sub.add_argument("--variable", action="append", help="restrict to this variable (repeatable)")
     sub.add_argument("--ratio", action="store_true", help="also report permuted/baseline ratios")
 
-    sub = model_command("profile", "PDP or ALE profile of one variable")
+    sub = model_command("profile", "PDP or ALE profile of one variable", plotted)
     sub.add_argument("--variable", required=True)
     sub.add_argument("--method", choices=("pdp", "ale"), default="pdp")
     sub.add_argument("--grid-size", type=int, default=None)
@@ -105,23 +111,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     model_command("diagnostics", "Cox-Snell, martingale, and deviance residuals")
 
-    sub = model_command("shap", "SurvSHAP(t) attribution for one data row")
+    sub = model_command("shap", "SurvSHAP(t) attribution for one data row", seeded, plotted)
     sub.add_argument("--row", type=int, default=0)
     sub.add_argument("--method", choices=("auto", "exact", "sampling"), default="auto")
     sub.add_argument("--n-permutations", type=int, default=100)
     sub.add_argument("--n-background", type=int, default=100)
 
-    sub = model_command("lime", "SurvLIME surrogate coefficients for one data row")
+    sub = model_command("lime", "SurvLIME surrogate coefficients for one data row", seeded)
     sub.add_argument("--row", type=int, default=0)
     sub.add_argument("--n-neighbors", type=int, default=100)
 
-    sub = model_command("ice", "individual conditional expectation curves for one data row")
+    sub = model_command(
+        "ice", "individual conditional expectation curves for one data row", plotted
+    )
     sub.add_argument("--row", type=int, default=0)
     sub.add_argument("--variable", required=True)
     sub.add_argument("--grid-size", type=int, default=25)
     sub.add_argument("--output-type", choices=OUTPUT_TYPES, default="survival")
 
-    sub = model_command("survshap-global", "SurvSHAP(t) aggregated over many rows")
+    sub = model_command(
+        "survshap-global", "SurvSHAP(t) aggregated over many rows", seeded, plotted
+    )
     sub.add_argument("--max-rows", type=int, default=None)
     sub.add_argument("--method", choices=("auto", "exact", "sampling"), default="auto")
     sub.add_argument("--n-permutations", type=int, default=100)
@@ -215,7 +225,7 @@ def _handle_predict(args, explainer, data):
 def _handle_performance(args, explainer, data):
     # one prediction feeds every metric, each scored as its public function scores it
     S = explainer.predict(data.features, "survival")
-    risk = explainer._cumulative_hazard(data.features, S).sum(axis=1)
+    risk = explainer.predict(data.features, "risk")
     brier = _brier_scorer(explainer.grid, data)(S)
     auc = _cd_auc_scorer(explainer.grid, data)(risk)
     cindex = _concordance_scorer(data)(risk)
@@ -446,10 +456,12 @@ def _svg_document(envelope: dict, source: str) -> str:
 
 
 def run(args) -> None:
+    # the output directory is made only once every check has passed, so a
+    # refused command leaves nothing behind
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.command == "plot":
         document = _svg_document(read_artifact(args.artifact), f"artifact {args.artifact} has")
+        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / (Path(args.artifact).stem + ".svg")).write_text(document, encoding="utf-8")
         return
 
@@ -467,7 +479,10 @@ def run(args) -> None:
     if curves is not None and meta is not None:
         envelope["plot"] = jsonify(meta)
     # render first, so a refused --svg leaves no artifact behind
-    document = _svg_document(envelope, f"command {args.command!r} produced") if args.svg else None
+    document = None
+    if getattr(args, "svg", False):
+        document = _svg_document(envelope, f"command {args.command!r} produced")
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_artifact(out_dir / f"{args.command}.json", envelope)
     if document is not None:
         (out_dir / f"{args.command}.svg").write_text(document, encoding="utf-8")

@@ -158,21 +158,18 @@ class Explainer:
             return _checked_survival(self.model(X, grid), len(X), grid)
         return predict_survival_matrix(self.model, X, grid)
 
-    def _cumulative_hazard(self, X: np.ndarray, survival=None) -> np.ndarray:
+    def _cumulative_hazard(self, X: np.ndarray) -> np.ndarray:
         """(n, T) cumulative hazard, capped at -log(``SURVIVAL_FLOOR``).
 
         A Cox or Weibull AFT model computes it directly; NaN stays NaN. For
         any other model it is -log of the survival matrix floored at
-        ``SURVIVAL_FLOOR``, and ``survival``, when given, must be that
-        matrix for the same rows: it is used instead of predicting again.
+        ``SURVIVAL_FLOOR``.
         """
         if isinstance(self.model, (CoxModel, WeibullAftModel)):
             H = predict_cumulative_hazard_matrix(self.model, X, self.grid)
             # minimum, not fmin: a NaN hazard must reach the metrics' checks
             return np.minimum(H, _HAZARD_CAP, out=H)
-        if survival is None:
-            survival = self.survival_matrix(X)
-        return -np.log(np.clip(survival, SURVIVAL_FLOOR, 1.0))
+        return -np.log(np.clip(self.survival_matrix(X), SURVIVAL_FLOOR, 1.0))
 
     def predict(self, X, output_type="survival"):
         """Predictions for the rows of ``X`` in the requested format.

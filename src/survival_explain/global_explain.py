@@ -131,8 +131,9 @@ def model_parts(
 ) -> list[VariableImportance]:
     """Permutation variable importance, one result per variable.
 
-    ``loss`` is a name accepted by loss_adapter, prepared once on ``data``
-    and evaluated on each shuffled feature matrix, or a callable
+    ``loss`` is a name in ``metrics.LOSS_NAMES`` (``brier_integrated``,
+    ``brier_curve``, ``cd_auc_integrated``, ``one_minus_cindex``), prepared
+    once on ``data`` and evaluated on each shuffled feature matrix, or a callable
     ``loss(explainer, data)``; larger values must mean worse performance.
     Each (variable, repetition) pair draws its permutation from a sub-seed
     split off the main seed, so results do not depend on evaluation order.

@@ -53,13 +53,6 @@ class RocCurve:
     tpr: np.ndarray
     thresholds: np.ndarray
 
-    @property
-    def points(self) -> list[tuple[float, float, float]]:
-        return [
-            (float(f), float(t), float(th))
-            for f, t, th in zip(self.fpr, self.tpr, self.thresholds)
-        ]
-
     def trapezoid_auc(self) -> float:
         # fpr runs from 1 down to 0 along the sweep
         return float(-np.trapezoid(self.tpr, self.fpr))
@@ -336,29 +329,6 @@ def roc_at_time(explainer: Explainer, data: SurvivalDataset, t: float) -> RocCur
     return score(explainer.predict(data.features, "survival"))
 
 
-def _check_loss_name(metric_name) -> None:
-    if metric_name not in LOSS_NAMES:
-        raise InputError(
-            f"unknown loss {metric_name!r}; valid names: {', '.join(LOSS_NAMES)}"
-        )
-
-
-def loss_adapter(metric_name: str):
-    """Build a ``loss(explainer, data)`` callable oriented so larger = worse.
-
-    cd-AUC is a score and enters as 1 - AUC; the Brier score and 1 - C are
-    losses already and are used as they are. ``brier_curve`` yields a value
-    per grid point; the others are scalars.
-    """
-    _check_loss_name(metric_name)
-
-    def loss(explainer, data):
-        return _prepared_loss(metric_name, explainer, data)(data.features)
-
-    loss.__name__ = metric_name
-    return loss
-
-
 def _integrated(curve: MetricCurve, what: str) -> float:
     if curve.integrated is None:
         raise NumericError(f"integrated {what} undefined on this data")
@@ -368,12 +338,17 @@ def _integrated(curve: MetricCurve, what: str) -> float:
 def _prepared_loss(metric_name: str, explainer: Explainer, data: SurvivalDataset):
     """The named loss prepared once on ``data``: returns ``loss_of(X)``.
 
-    ``loss_of(X)`` is ``loss_adapter(metric_name)(explainer, data)`` for data
-    whose feature matrix is ``X`` (same rows, times and events): the
-    censoring weights, masks and time order are built here, and each call
-    only predicts and scores.
+    ``loss_of(X)`` is the loss of the predictions for ``X`` scored against
+    ``data``'s times and events, oriented so larger = worse: cd-AUC enters
+    as 1 - AUC, the Brier score and 1 - C as they are. ``brier_curve``
+    yields a value per grid point; the others are scalars. The censoring
+    weights, masks and time order are built here, and each call only
+    predicts and scores.
     """
-    _check_loss_name(metric_name)
+    if metric_name not in LOSS_NAMES:
+        raise InputError(
+            f"unknown loss {metric_name!r}; valid names: {', '.join(LOSS_NAMES)}"
+        )
     if metric_name == "one_minus_cindex":
         score = _concordance_scorer(data)
         return lambda X: 1.0 - score(explainer.predict(X, "risk"))

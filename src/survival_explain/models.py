@@ -22,6 +22,12 @@ _TOL = 1e-9
 _MAX_HALVINGS = 10
 _DIVERGENCE_BOUND = 20.0
 
+# A trial step can push exp(X beta) past a double's range either way, or make
+# the Weibull shape non-positive. The log-likelihood and its derivatives then
+# come out non-finite, quietly, and the step-halving in _newton_maximize
+# rejects the step.
+_QUIET_OVERFLOW = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
 
 @dataclass
 class CoxModel:
@@ -83,7 +89,7 @@ def _cox_objective(times, events, features):
         return np.cumsum(np.add.reduceat(v, first)[::-1], axis=0)[::-1]
 
     def evaluate(beta, derivatives=True):
-        with np.errstate(over="ignore"):
+        with np.errstate(**_QUIET_OVERFLOW):
             eta = X @ np.asarray(beta, dtype=float)
             w = np.exp(eta)
             s0 = risk_set_sums(w)
@@ -97,8 +103,12 @@ def _cox_objective(times, events, features):
         return ll, grad, hess
 
     def baseline(beta) -> StepCurve:
-        s0 = risk_set_sums(np.exp(X @ beta))
-        return StepCurve(event_times, np.cumsum(d / s0), kind="chf")
+        with np.errstate(**_QUIET_OVERFLOW):
+            chf = np.cumsum(d / risk_set_sums(np.exp(X @ beta)))
+        if not np.all(np.isfinite(chf)):
+            # separated data: the risk-set sums left a double's range
+            raise FitError("Cox baseline hazard is not finite; the data may be separated")
+        return StepCurve(event_times, chf, kind="chf")
 
     return evaluate, baseline
 
@@ -106,12 +116,6 @@ def _cox_objective(times, events, features):
 # ---------------------------------------------------------------------------
 # Weibull AFT log-likelihood and derivatives
 # ---------------------------------------------------------------------------
-
-# A trial step can make the shape non-positive or push exp(w) past a double's
-# range. The log-likelihood and its derivatives then come out non-finite,
-# quietly, and the step-halving in _newton_maximize rejects the step.
-_QUIET_OVERFLOW = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
-
 
 def _weibull_objective(times, events, features):
     """Return ``evaluate(params, derivatives=True)``, called like the Cox one.
@@ -218,7 +222,8 @@ def fit_cox(data: SurvivalDataset) -> CoxModel:
 
     Features are centered internally; constant columns are uninformative and
     receive coefficient 0. Separation is caught by a divergence guard: a fit
-    that returns any |beta_j| above 20 is flagged non-converged.
+    that returns any |beta_j| above 20 is flagged non-converged, and one
+    whose Breslow baseline hazard overflows raises FitError.
     """
     means, active, X = _centered_design(data, "Cox")
     objective, baseline = _cox_objective(data.times, data.events, X)

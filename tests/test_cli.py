@@ -82,6 +82,10 @@ COMMAND_CORPUS = [
     ("survshap-global", ("--max-rows", "2", "--n-background", "20")),
 ]
 
+# the commands that draw at random, and those that can draw a curve
+SEEDED = {"parts", "shap", "lime", "survshap-global"}
+PLOTTED = {"fit", "predict", "performance", "parts", "profile", "ice", "shap", "survshap-global"}
+
 
 class TestCommandCorpus:
     @pytest.mark.parametrize("command,extra", COMMAND_CORPUS, ids=[c for c, _ in COMMAND_CORPUS])
@@ -91,8 +95,16 @@ class TestCommandCorpus:
         assert envelope["tool_version"] == TOOL_VERSION
         assert envelope["command"] == command
         assert envelope["config"]["data"] == corpus_csv
-        assert envelope["config"]["seed"] == 42
         assert "result" in envelope
+
+    @pytest.mark.parametrize("command,extra", COMMAND_CORPUS, ids=[c for c, _ in COMMAND_CORPUS])
+    def test_config_echoes_only_the_declared_options(self, command, extra, corpus_csv, tmp_path):
+        assert cli(command, corpus_csv, tmp_path, *extra) == 0
+        config = load_artifact(tmp_path, command)["config"]
+        assert ("seed" in config) == (command in SEEDED)
+        assert ("svg" in config) == (command in PLOTTED)
+        if command in SEEDED:
+            assert config["seed"] == 42
 
     @pytest.mark.parametrize("command,extra", COMMAND_CORPUS, ids=[c for c, _ in COMMAND_CORPUS])
     def test_artifact_has_no_bare_nan_tokens(self, command, extra, corpus_csv, tmp_path):
@@ -281,18 +293,37 @@ class TestErrorExits:
     @pytest.mark.parametrize(
         "command,extra",
         [
-            ("lime", ("--row", "0", "--n-neighbors", "20")),
-            ("diagnostics", ()),
-            ("profile2d", ("--variables", "x0", "x1", "--grid-size", "3")),
             ("parts", ("--loss", "one_minus_cindex", "--n-permutations", "1")),
             ("predict", ("--row", "0", "--output-type", "risk")),
         ],
-        ids=["lime", "diagnostics", "profile2d", "parts-cindex", "predict-risk"],
+        ids=["parts-cindex", "predict-risk"],
     )
     def test_svg_on_curveless_command_exits_2(self, command, extra, corpus_csv, tmp_path, capsys):
         assert cli(command, corpus_csv, tmp_path, *extra, "--svg") == 2
         assert "plottable commands" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("performance", ("--seed", "1")),
+            ("lime", ("--row", "0", "--n-neighbors", "20", "--svg")),
+            ("diagnostics", ("--svg",)),
+            ("profile2d", ("--variables", "x0", "x1", "--grid-size", "3", "--svg")),
+        ],
+        ids=["performance-seed", "lime-svg", "diagnostics-svg", "profile2d-svg"],
+    )
+    def test_undeclared_option_is_refused_before_any_read(
+        self, command, extra, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as refused:
+            cli(command, str(tmp_path / "absent.csv"), out, *extra)
+        assert refused.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "unrecognized arguments" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("grid_size", ["-1", "0"])
     @pytest.mark.parametrize(
@@ -328,7 +359,7 @@ class TestErrorExits:
         out = tmp_path / "out"
         assert cli(command, corpus_csv, out, *extra, "--seed", "-1") == 2
         assert capsys.readouterr().err == "error: seed must be a non-negative integer\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_repeated_time_column_exits_2(self, tmp_path, capsys):
         repeated = tmp_path / "repeated.csv"
@@ -338,13 +369,26 @@ class TestErrorExits:
         assert capsys.readouterr().err == (
             "error: column 'time' appears 2 times in the CSV header\n"
         )
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_cox_without_events_exits_3(self, tmp_path, capsys):
         censored = tmp_path / "censored.csv"
         censored.write_text("time,event,x\n1,0,0.1\n2,0,0.3\n3,0,0.5\n")
         assert cli("fit", str(censored), tmp_path) == 3
         assert "error: " in capsys.readouterr().err
+
+    def test_separated_cox_data_exits_3(self, tmp_path, capsys):
+        separated = tmp_path / "separated.csv"
+        separated.write_text(
+            "time,event,x0\n1.5,1,-1.5\n3.0,0,-3.0\n2.7,1,-2.7\n2.6,1,-2.6\n8.3,1,-8.3\n"
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli("fit", str(separated), out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestDeterminism:
@@ -456,11 +500,13 @@ class TestPlotCommand:
     def test_plot_curveless_artifact_exits_2(self, corpus_csv, tmp_path, capsys):
         cli("diagnostics", corpus_csv, tmp_path)
         artifact = tmp_path / "diagnostics.json"
-        code = main(["plot", "--artifact", str(artifact), "--out", str(tmp_path)])
+        out = tmp_path / "plot-out"
+        code = main(["plot", "--artifact", str(artifact), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert "no curve data" in err
         assert "plottable commands" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,extra", PLOTTABLE_CORPUS, ids=[c for c, _ in PLOTTABLE_CORPUS])
     def test_svg_matches_plot_command_output(self, command, extra, corpus_csv, tmp_path):

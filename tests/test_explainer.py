@@ -419,16 +419,11 @@ class TestHazardNativeChf:
             assert np.array_equal(got.values, want.values, equal_nan=True)
             assert got.integrated == want.integrated
 
-    def test_performance_calls_a_per_row_callable_once_per_row(self, cox_data):
-        calls = []
-
-        def counting(x, grid):
-            calls.append(1)
-            return np.exp(-grid.points * np.exp(x[0]) / 10.0)
-
-        explainer = explain(counting, cox_data)
-        calls.clear()
+    @pytest.mark.parametrize("fit", [fit_kaplan_meier, fit_cox, fit_weibull_aft])
+    def test_performance_rank_metrics_equal_the_public_functions(self, fit, cox_data):
+        explainer = explain(fit(cox_data), cox_data)
         result, _, _ = _handle_performance(argparse.Namespace(at_time=None), explainer, cox_data)
-        assert len(calls) == cox_data.n_observations
-        risk = floored_chf(explainer.predict(cox_data.features, "survival")).sum(axis=1)
-        assert result["concordance_index"] == _concordance_scorer(cox_data)(risk)
+        auc = cd_auc(explainer, cox_data)
+        assert result["cd_auc"]["values"].tobytes() == auc.values.tobytes()
+        assert result["cd_auc"]["integrated"] == auc.integrated
+        assert result["concordance_index"] == concordance_index(explainer, cox_data)

@@ -5,9 +5,11 @@ from survival_explain import (
     InputError,
     TimeGrid,
     background_sample,
+    brier_score,
+    cd_auc,
+    concordance_index,
     explain,
     fit_cox,
-    loss_adapter,
     model_diagnostics,
     model_parts,
     model_profile,
@@ -75,7 +77,9 @@ class TestModelParts:
         assert np.array_equal(result.permuted_loss, result.baseline_loss + result.importance)
 
     def test_callable_loss_accepted(self, cox_explainer):
-        loss = loss_adapter("one_minus_cindex")
+        def loss(explainer, data):
+            return 1.0 - concordance_index(explainer, data)
+
         result = model_parts(cox_explainer, loss=loss, n_permutations=3, variables=["x0"])[0]
         assert result.variable == "x0"
         assert np.isfinite(result.importance)
@@ -114,6 +118,15 @@ def last_time_censored():
     return make_dataset(data.times, events, data.features, data.feature_names)
 
 
+# each named loss written as a callable over the public metrics
+PUBLIC_LOSSES = {
+    "brier_integrated": lambda e, d: brier_score(e, d).integrated,
+    "brier_curve": lambda e, d: brier_score(e, d).values,
+    "cd_auc_integrated": lambda e, d: 1.0 - cd_auc(e, d).integrated,
+    "one_minus_cindex": lambda e, d: 1.0 - concordance_index(e, d),
+}
+
+
 class TestPreparedLoss:
     @pytest.mark.parametrize("name", LOSS_NAMES)
     @pytest.mark.parametrize("model", ["cox", "per-row"])
@@ -124,9 +137,7 @@ class TestPreparedLoss:
         for data in (cox_data, last_time_censored):
             explainer = explain(fit_cox(data) if model == "cox" else per_row_weibull, data)
             prepared = model_parts(explainer, name, n_permutations=2, seed=5)
-            fresh = model_parts(
-                explainer, lambda e, d: loss_adapter(name)(e, d), n_permutations=2, seed=5
-            )
+            fresh = model_parts(explainer, PUBLIC_LOSSES[name], n_permutations=2, seed=5)
             for a, b in zip(prepared, fresh, strict=True):
                 assert np.array_equal(a.baseline_loss, b.baseline_loss)
                 assert np.array_equal(a.replicate_losses, b.replicate_losses)

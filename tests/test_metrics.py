@@ -15,12 +15,11 @@ from survival_explain import (
     concordance_index,
     explain,
     integrated_mean,
-    loss_adapter,
     roc_at_time,
 )
 
 from survival_explain import metrics
-from survival_explain.metrics import _brier_scorer
+from survival_explain.metrics import _brier_scorer, _prepared_loss
 
 from conftest import make_dataset
 
@@ -344,7 +343,7 @@ class TestRocAtTime:
         )
         explainer = explain(survival_from_feature, data)
         roc = roc_at_time(explainer, data, 3.0)
-        assert (0.0, 1.0) in [(f, t) for f, t, _ in roc.points]
+        assert (0.0, 1.0) in zip(roc.fpr, roc.tpr)
         assert roc.trapezoid_auc() == 1.0
 
     def test_identical_scores_collapse_to_diagonal(self):
@@ -354,7 +353,7 @@ class TestRocAtTime:
         )
         explainer = explain(survival_from_feature, data)
         roc = roc_at_time(explainer, data, 3.0)
-        assert [(f, t) for f, t, _ in roc.points] == [(1.0, 1.0), (0.0, 0.0)]
+        assert list(zip(roc.fpr, roc.tpr)) == [(1.0, 1.0), (0.0, 0.0)]
         assert roc.trapezoid_auc() == 0.5
 
     def test_empty_classes_raise(self, six_row):
@@ -372,21 +371,25 @@ class TestRocAtTime:
             roc_at_time(explainer, data, np.inf)
 
 
-class TestLossAdapter:
+def named_loss(name, explainer, data):
+    return _prepared_loss(name, explainer, data)(data.features)
+
+
+class TestNamedLoss:
     def test_unknown_name_lists_valid_ones(self, six_row):
+        data, explainer = six_row
         with pytest.raises(InputError, match="brier_integrated.*one_minus_cindex"):
-            loss_adapter("rmse")
+            _prepared_loss("rmse", explainer, data)
 
     def test_brier_integrated_matches_curve_field(self, six_row):
         data, explainer = six_row
-        loss = loss_adapter("brier_integrated")
-        assert loss(explainer, data) == brier_score(explainer, data).integrated
-        assert loss.__name__ == "brier_integrated"
+        loss = named_loss("brier_integrated", explainer, data)
+        assert loss == brier_score(explainer, data).integrated
 
     def test_brier_curve_returns_the_value_vector(self, six_row):
         data, explainer = six_row
-        loss = loss_adapter("brier_curve")
-        assert np.array_equal(loss(explainer, data), brier_score(explainer, data).values)
+        loss = named_loss("brier_curve", explainer, data)
+        assert np.array_equal(loss, brier_score(explainer, data).values)
 
     def test_cd_auc_integrated_of_all_ties_is_half(self):
         data = make_dataset(
@@ -394,11 +397,11 @@ class TestLossAdapter:
             [[0.5], [0.5], [0.5], [0.5]], ["s"],
         )
         explainer = explain(survival_from_feature, data)
-        assert abs(loss_adapter("cd_auc_integrated")(explainer, data) - 0.5) < 1e-15
+        assert abs(named_loss("cd_auc_integrated", explainer, data) - 0.5) < 1e-15
 
     def test_score_direction_complements(self, six_row):
         data, explainer = six_row
-        complemented = loss_adapter("cd_auc_integrated")(explainer, data)
+        complemented = named_loss("cd_auc_integrated", explainer, data)
         assert complemented == 1.0 - cd_auc(explainer, data).integrated
 
     def test_one_minus_cindex_of_perfect_model_is_zero(self):
@@ -407,7 +410,7 @@ class TestLossAdapter:
             [[0.1], [0.2], [0.3], [0.4]], ["s"],
         )
         explainer = explain(survival_from_feature, data)
-        assert loss_adapter("one_minus_cindex")(explainer, data) == 0.0
+        assert named_loss("one_minus_cindex", explainer, data) == 0.0
 
 
 class TestIntegratedMean:

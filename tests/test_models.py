@@ -244,6 +244,26 @@ class TestFitCox:
         assert not fitted.converged
         assert np.abs(fitted.beta).max() > 20.0
 
+    def test_separated_data_fits_or_raises_fit_error_without_warnings(self):
+        # the time itself as a feature: the risk sets can leave a double's range
+        refused = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(5, 41))
+            times = rng.uniform(1.0, 10.0, n)
+            events = (rng.uniform(size=n) > 0.3).astype(int)
+            events[np.argmin(times)] = 1
+            data = make_dataset(times, events, np.column_stack([-times, rng.normal(size=n)]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    fitted = fit_cox(data)
+                except FitError:
+                    refused += 1
+                else:
+                    assert np.all(np.isfinite(fitted.baseline_chf.values))
+        assert refused > 0
+
     def test_no_events_raises_fit_error(self):
         with pytest.raises(FitError):
             fit_cox(make_dataset([1.0, 2.0], [0, 0], np.ones((2, 1)) * [[1.0], [2.0]], ["z"]))

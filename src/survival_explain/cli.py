@@ -52,9 +52,9 @@ PLOTTABLE = (
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The whole command tree, built on first use and shared by every later
-    call; parsing reads it and never changes it."""
+def build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
+    """The whole command tree and its subcommands' handle, built on first use
+    and shared by every later call; parsing reads them and never changes them."""
     parser = argparse.ArgumentParser(
         prog="survival-explain",
         description="Model-agnostic explanations, metrics, and diagnostics for survival models.",
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("plot", help="render a curve-bearing artifact JSON as SVG")
     sub.add_argument("--artifact", required=True, help="path to a JSON artifact")
     sub.add_argument("--out", default=".", help="output directory (default: current)")
-    return parser
+    return parser, commands
 
 
 def _fit_model(name, data):
@@ -489,8 +489,11 @@ def run(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        # reported by the command's own parser, so its usage line shows what it takes
+        commands.choices[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         run(args)
     except InputError as error:

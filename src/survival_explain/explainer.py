@@ -127,7 +127,8 @@ class Explainer:
     on the other rows of its batch, since exact SurvSHAP predicts a repeated
     coalition row once and reuses it. The built-in models are row-wise.
     :func:`explain` wraps a per-row callable ``f(x, grid)``, which returns
-    one row's (T,) survival vector, in this batch form.
+    one row's (T,) survival vector, in this batch form. ``grid`` is a
+    ``TimeGrid`` or a sequence of times, by default ``default_time_grid``.
 
     The cumulative hazard ``chf`` is capped at -log(``SURVIVAL_FLOOR``),
     about 41.4, and ``risk`` is its sum over the grid. A Cox or Weibull AFT
@@ -137,9 +138,13 @@ class Explainer:
 
     model: object
     background: SurvivalDataset
-    grid: TimeGrid
+    grid: TimeGrid | None = None
 
     def __post_init__(self):
+        if self.grid is None:
+            self.grid = default_time_grid(self.background)
+        elif not isinstance(self.grid, TimeGrid):
+            self.grid = TimeGrid(self.grid)
         if self.background.n_observations < 2:
             raise InputError("background must contain at least two observations")
         if not np.any(self.background.events == 1):
@@ -211,15 +216,9 @@ def explain(model, background: SurvivalDataset, grid=None) -> Explainer:
     row and checked as :class:`Explainer` describes; any other return raises
     ``InputError``. Its output for a row must depend on that row alone (no
     state carried between calls), since a repeated row may be predicted
-    once and reused. ``grid`` is the one
-    evaluation grid of every prediction, metric and explanation drawn from
-    the explainer; when omitted it is derived from the background event times.
+    once and reused. ``grid`` is the one evaluation grid of every prediction,
+    metric and explanation drawn from the explainer, as :class:`Explainer` takes it.
     """
-    if grid is None:
-        grid = default_time_grid(background)
-    elif not isinstance(grid, TimeGrid):
-        grid = TimeGrid(grid)
-
     if isinstance(model, (CoxModel, WeibullAftModel, KaplanMeierModel)):
         return Explainer(model, background, grid)
     if callable(model):

@@ -127,33 +127,34 @@ def model_parts(
     n_permutations: int = 10,
     seed: int = 42,
     variables=None,
-    data: SurvivalDataset | None = None,
 ) -> list[VariableImportance]:
-    """Permutation variable importance, one result per variable.
+    """Permutation variable importance of the explainer's background, one
+    result per variable (each named at most once; by default all of them).
 
     ``loss`` is a name in ``metrics.LOSS_NAMES`` (``brier_integrated``,
     ``brier_curve``, ``cd_auc_integrated``, ``one_minus_cindex``), prepared
-    once on ``data`` and evaluated on each shuffled feature matrix, or a callable
-    ``loss(explainer, data)``; larger values must mean worse performance.
+    once on the background and evaluated on each shuffled feature matrix, or a
+    callable ``loss(explainer, data)``; larger values must mean worse performance.
     Each (variable, repetition) pair draws its permutation from a sub-seed
     split off the main seed, so results do not depend on evaluation order.
     """
     if n_permutations < 1:
         raise InputError("n_permutations must be at least 1")
-    _seed_sequence(seed)  # a bad seed fails before the first prediction
-    data = explainer.background if data is None else data
+    _seed_sequence(seed)  # a bad seed or variable fails before the first prediction
+    data = explainer.background
+    variables = list(data.feature_names if variables is None else variables)
+    columns = [data.column_index(name) for name in variables]
+    if len(set(columns)) < len(columns):
+        raise InputError(f"variables must be distinct, got {', '.join(map(repr, variables))}")
     if isinstance(loss, str):
         loss_of = _prepared_loss(loss, explainer, data)
     else:
         def loss_of(X):
             return loss(explainer, data.with_features(X))
-    if variables is None:
-        variables = list(data.feature_names)
 
     baseline = loss_of(data.features)
     results = []
-    for name in variables:
-        j = data.column_index(name)
+    for name, j in zip(variables, columns):
         replicates = []
         for rep in range(n_permutations):
             rng = np.random.default_rng(_seed_sequence(seed, (j, rep)))

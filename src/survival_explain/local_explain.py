@@ -242,24 +242,10 @@ def _span_normalized_integral(curves: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return np.trapezoid(curves, grid.points, axis=-1) / grid.span
 
 
-def predict_parts_survshap(
-    explainer: Explainer,
-    x,
-    n_background: int = PROFILE_BACKGROUND_CAP,
-    method: str = "auto",
-    n_permutations: int = 100,
-    seed=42,
-) -> SurvShapResult:
-    """SurvSHAP(t) attributions for a single instance.
-
-    ``method`` "auto" enumerates all coalitions exactly up to 10 variables
-    and falls back to permutation sampling above that; "exact" accepts at
-    most ``EXACT_COALITION_MAX`` (16) variables. The background is
-    capped by a fixed-seed subsample so that ``seed`` only moves the
-    Monte-Carlo sampling, never the value function being estimated.
-    """
-    x = _check_instance(explainer, x)
-    p = len(x)
+def _survshap_setup(explainer, n_background, method, n_permutations, seed):
+    """Check every SurvSHAP argument but the instance, once per call and before
+    any prediction; return the method ("auto" resolved) and background sample."""
+    p = explainer.background.n_features
     if method not in ("auto", "exact", "sampling"):
         raise InputError(f"unknown method {method!r}; expected auto, exact, or sampling")
     if method == "auto":
@@ -271,16 +257,15 @@ def predict_parts_survshap(
         )
     if method == "sampling" and n_permutations < 1:
         raise InputError("n_permutations must be at least 1")
+    _seed_sequence(seed)
+    return method, background_sample(explainer.background.features, n_background)
 
-    if isinstance(seed, np.random.SeedSequence):  # a row's sub-seed from model_survshap
-        seed_sequence, seed_out = seed, None
-    else:
-        seed_sequence, seed_out = _seed_sequence(seed), seed
 
-    background = background_sample(explainer.background.features, n_background)
+def _survshap(explainer, x, background, method, n_permutations, seed_sequence, seed):
+    """SurvSHAP of one checked instance; ``seed`` is only reported."""
     if method == "exact":
         phi, baseline, standard_error = _exact_shapley(explainer, x, background)
-        n_samples = 1 << p
+        n_samples = 1 << len(x)
     else:
         phi, baseline, standard_error = _sampled_shapley(
             explainer, x, background, n_permutations, np.random.default_rng(seed_sequence)
@@ -293,9 +278,30 @@ def predict_parts_survshap(
         aggregate=_span_normalized_integral(np.abs(phi), explainer.grid),
         method=method,
         n_samples=n_samples,
-        seed=seed_out,
+        seed=seed,
         standard_error=standard_error,
     )
+
+
+def predict_parts_survshap(
+    explainer: Explainer,
+    x,
+    n_background: int = PROFILE_BACKGROUND_CAP,
+    method: str = "auto",
+    n_permutations: int = 100,
+    seed: int = 42,
+) -> SurvShapResult:
+    """SurvSHAP(t) attributions for a single instance.
+
+    ``method`` "auto" enumerates all coalitions exactly up to 10 variables
+    and falls back to permutation sampling above that; "exact" accepts at
+    most ``EXACT_COALITION_MAX`` (16) variables. The background is capped by a
+    fixed-seed subsample so that ``seed``, a non-negative integer, only moves the
+    Monte-Carlo sampling, never the value function being estimated.
+    """
+    x = _check_instance(explainer, x)
+    method, background = _survshap_setup(explainer, n_background, method, n_permutations, seed)
+    return _survshap(explainer, x, background, method, n_permutations, _seed_sequence(seed), seed)
 
 
 def predict_parts_survlime(
@@ -431,19 +437,13 @@ def model_survshap(
     if X.ndim != 2 or X.shape[0] < 1:
         raise InputError("X must be a nonempty instance matrix")
 
+    method, background = _survshap_setup(explainer, n_background, method, n_permutations, seed)
     per_instance = []
     for i, row in enumerate(X):
-        row_seed = _seed_sequence(seed, (i,))
         try:
+            x, row_seed = _check_instance(explainer, row), _seed_sequence(seed, (i,))
             per_instance.append(
-                predict_parts_survshap(
-                    explainer,
-                    row,
-                    n_background=n_background,
-                    method=method,
-                    n_permutations=n_permutations,
-                    seed=row_seed,
-                )
+                _survshap(explainer, x, background, method, n_permutations, row_seed, None)
             )
         except (InputError, NumericError) as error:
             raise type(error)(f"row {i}: {error}") from error

@@ -235,7 +235,9 @@ def cd_auc(explainer: Explainer, data: SurvivalDataset) -> MetricCurve:
 
     At each time t, cases are observed events with t_i <= t (weighted by
     1/G(t_i-)^2) and controls are observations still beyond t; tied risk
-    scores count one half. Undefined whenever either side is empty.
+    scores count one half. Undefined whenever either side is empty. The
+    squared case weight is that of Uno et al.'s IPCW C-statistic (Stat. Med.
+    2011), not the 1/G(t_i-) of the IPCW true-positive rate.
 
     Risk scores are ranked once; each grid point then counts controls below
     every case from a histogram of the control ranks, so the cost is

@@ -135,6 +135,19 @@ class TestExplainConstruction:
         second = explain(fit_cox(cox_data), cox_data)
         assert np.array_equal(first.grid.points, second.grid.points)
 
+    def test_constructor_takes_the_grid_explain_takes(self, cox_data):
+        def batch(X, grid):
+            return np.exp(-np.outer(np.ones(len(X)), grid.points) / 10.0)
+
+        model = fit_cox(cox_data)
+        default = explain(model, cox_data).grid.points
+        assert np.array_equal(Explainer(batch, cox_data).grid.points, default)
+        points = [0.5, 1.0, 2.0]
+        assert np.array_equal(Explainer(batch, cox_data, points).grid.points, points)
+        assert np.array_equal(explain(model, cox_data, points).grid.points, points)
+        with pytest.raises(InputError, match="^grid points must be numeric$"):
+            Explainer(batch, cox_data, ["a", "b"])
+
 
 def bad_past_seventy(kind):
     """A per-row model that passes the construction probe (age 50) and turns

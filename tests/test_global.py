@@ -48,12 +48,6 @@ class TestModelParts:
         assert by_name["x0"].importance > 0.0
         assert by_name["x1"].importance > 0.0
 
-    def test_single_row_permutation_is_identity(self, two_feature_setup):
-        data, explainer = two_feature_setup
-        one_row = make_dataset([5.0], [1], data.features[:1], data.feature_names)
-        for result in model_parts(explainer, data=one_row, n_permutations=3):
-            assert result.importance == 0.0
-
     def test_zero_permutations_rejected(self, two_feature_setup):
         _, explainer = two_feature_setup
         with pytest.raises(InputError, match="at least 1"):

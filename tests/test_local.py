@@ -380,7 +380,7 @@ class TestDistinctCoalitionRows:
         explainer = explain(fit_kaplan_meier(data), data)
         with pytest.raises(InputError, match="sampling"):
             predict_parts_survshap(explainer, data.features[0], method="exact")
-        with pytest.raises(InputError, match="row 0: .*sampling"):
+        with pytest.raises(InputError, match="^exact SurvSHAP enumerates"):
             model_survshap(explainer, data.features[:2], method="exact")
 
 
@@ -596,7 +596,7 @@ SEEDED_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("seed", [-1, -(2**40), 1.5])
+@pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, np.random.SeedSequence(1)])
 @pytest.mark.parametrize("entry", sorted(SEEDED_ENTRIES))
 def test_bad_seed_rejected_before_any_prediction(entry, seed):
     data = simulate_cohort(30, 3, seed=2)
@@ -605,6 +605,54 @@ def test_bad_seed_rejected_before_any_prediction(entry, seed):
     calls = model.calls
     with pytest.raises(InputError, match="^seed must be a non-negative integer$"):
         SEEDED_ENTRIES[entry](explainer, seed)
+    assert model.calls == calls
+
+
+BAD_ARGUMENTS = {
+    "model_survshap method": (
+        lambda ex: model_survshap(ex, ex.background.features[:2], method="shapley"),
+        "^unknown method 'shapley'; expected auto, exact, or sampling$",
+    ),
+    "model_survshap n_background": (
+        lambda ex: model_survshap(ex, ex.background.features[:2], n_background=0),
+        "^n_background must be at least 1$",
+    ),
+    "model_survshap n_permutations": (
+        lambda ex: model_survshap(
+            ex, ex.background.features[:2], method="sampling", n_permutations=0
+        ),
+        "^n_permutations must be at least 1$",
+    ),
+    "model_parts unknown variable": (
+        lambda ex: model_parts(ex, n_permutations=3, variables=["x0", "nope"]),
+        "^unknown variable 'nope'",
+    ),
+    "model_parts repeated variable": (
+        lambda ex: model_parts(ex, n_permutations=3, variables=["x0", "x0"]),
+        "^variables must be distinct",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BAD_ARGUMENTS))
+def test_bad_argument_rejected_before_any_prediction(entry):
+    data = simulate_cohort(30, 3, seed=2)
+    model = CountingBatchModel()
+    explainer = Explainer(model, data, default_time_grid(data))
+    calls = model.calls
+    call, message = BAD_ARGUMENTS[entry]
+    with pytest.raises(InputError, match=message):
+        call(explainer)
+    assert model.calls == calls
+
+
+def test_model_survshap_refuses_exact_above_the_cap_before_any_prediction():
+    data = simulate_cohort(40, EXACT_COALITION_MAX + 1, seed=8)
+    model = CountingBatchModel()
+    explainer = Explainer(model, data)
+    calls = model.calls
+    with pytest.raises(InputError, match="^exact SurvSHAP enumerates 2\\^17 coalitions"):
+        model_survshap(explainer, data.features[:2], method="exact")
     assert model.calls == calls
 
 

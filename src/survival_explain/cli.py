@@ -75,15 +75,25 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     # the commands that can draw a curve
     plotted = argparse.ArgumentParser(add_help=False)
     plotted.add_argument("--svg", action="store_true", help="also render the curves to SVG")
+    # the commands that explain one data row
+    one_row = argparse.ArgumentParser(add_help=False)
+    one_row.add_argument("--row", type=int, default=0)
+    # the commands that predict in a chosen output type
+    typed = argparse.ArgumentParser(add_help=False)
+    typed.add_argument("--output-type", choices=OUTPUT_TYPES, default="survival")
+    # the commands that average over a background sample
+    sampled = argparse.ArgumentParser(add_help=False)
+    sampled.add_argument("--n-background", type=int, default=100)
+    # the two SurvSHAP commands
+    survshap = argparse.ArgumentParser(add_help=False)
+    survshap.add_argument("--method", choices=("auto", "exact", "sampling"), default="auto")
+    survshap.add_argument("--n-permutations", type=int, default=100)
 
     def model_command(name, help_text, *parents):
         return commands.add_parser(name, help=help_text, parents=[shared, *parents])
 
     model_command("fit", "fit a model and dump its parameters", plotted)
-
-    sub = model_command("predict", "prediction for one data row", plotted)
-    sub.add_argument("--row", type=int, default=0)
-    sub.add_argument("--output-type", choices=OUTPUT_TYPES, default="survival")
+    model_command("predict", "prediction for one data row", one_row, typed, plotted)
 
     sub = model_command(
         "performance", "Brier score, cumulative/dynamic AUC, concordance index", plotted
@@ -96,46 +106,30 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     sub.add_argument("--variable", action="append", help="restrict to this variable (repeatable)")
     sub.add_argument("--ratio", action="store_true", help="also report permuted/baseline ratios")
 
-    sub = model_command("profile", "PDP or ALE profile of one variable", plotted)
+    sub = model_command("profile", "PDP or ALE profile of one variable", sampled, typed, plotted)
     sub.add_argument("--variable", required=True)
     sub.add_argument("--method", choices=("pdp", "ale"), default="pdp")
     sub.add_argument("--grid-size", type=int, default=None)
-    sub.add_argument("--n-background", type=int, default=100)
-    sub.add_argument("--output-type", choices=OUTPUT_TYPES, default="survival")
 
-    sub = model_command("profile2d", "two-variable PDP surface")
+    sub = model_command("profile2d", "two-variable PDP surface", sampled, typed)
     sub.add_argument("--variables", nargs=2, required=True, metavar=("FIRST", "SECOND"))
     sub.add_argument("--grid-size", type=int, default=10)
-    sub.add_argument("--n-background", type=int, default=100)
-    sub.add_argument("--output-type", choices=OUTPUT_TYPES, default="survival")
 
     model_command("diagnostics", "Cox-Snell, martingale, and deviance residuals")
+    model_command("shap", "SurvSHAP(t) attribution for one data row",
+                  one_row, survshap, sampled, seeded, plotted)
 
-    sub = model_command("shap", "SurvSHAP(t) attribution for one data row", seeded, plotted)
-    sub.add_argument("--row", type=int, default=0)
-    sub.add_argument("--method", choices=("auto", "exact", "sampling"), default="auto")
-    sub.add_argument("--n-permutations", type=int, default=100)
-    sub.add_argument("--n-background", type=int, default=100)
-
-    sub = model_command("lime", "SurvLIME surrogate coefficients for one data row", seeded)
-    sub.add_argument("--row", type=int, default=0)
+    sub = model_command("lime", "SurvLIME surrogate coefficients for one data row", one_row, seeded)
     sub.add_argument("--n-neighbors", type=int, default=100)
 
-    sub = model_command(
-        "ice", "individual conditional expectation curves for one data row", plotted
-    )
-    sub.add_argument("--row", type=int, default=0)
+    sub = model_command("ice", "individual conditional expectation curves for one data row",
+                        one_row, typed, plotted)
     sub.add_argument("--variable", required=True)
     sub.add_argument("--grid-size", type=int, default=25)
-    sub.add_argument("--output-type", choices=OUTPUT_TYPES, default="survival")
 
-    sub = model_command(
-        "survshap-global", "SurvSHAP(t) aggregated over many rows", seeded, plotted
-    )
+    sub = model_command("survshap-global", "SurvSHAP(t) aggregated over many rows",
+                        survshap, sampled, seeded, plotted)
     sub.add_argument("--max-rows", type=int, default=None)
-    sub.add_argument("--method", choices=("auto", "exact", "sampling"), default="auto")
-    sub.add_argument("--n-permutations", type=int, default=100)
-    sub.add_argument("--n-background", type=int, default=100)
 
     sub = commands.add_parser("plot", help="render a curve-bearing artifact JSON as SVG")
     sub.add_argument("--artifact", required=True, help="path to a JSON artifact")
@@ -324,7 +318,7 @@ def _handle_profile2d(args, explainer, data):
 
 
 def _handle_diagnostics(args, explainer, data):
-    residuals = model_diagnostics(explainer, data)
+    residuals = model_diagnostics(explainer)
     result = {
         "cox_snell": residuals.cox_snell,
         "martingale": residuals.martingale,

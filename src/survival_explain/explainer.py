@@ -16,17 +16,8 @@ import numpy as np
 
 from .data import _SHAPE_TOL, SurvivalDataset, TimeGrid, _float_array
 from .errors import InputError, NumericError
-from .models import (
-    CoxModel,
-    KaplanMeierModel,
-    WeibullAftModel,
-    predict_cumulative_hazard_matrix,
-    predict_survival_matrix,
-)
+from .models import SURVIVAL_FLOOR, predict_cumulative_hazard_matrix, predict_survival_matrix
 
-#: Survival probabilities are clamped to at least this before any logarithm,
-#: and every cumulative hazard is capped at ``-log(SURVIVAL_FLOOR)``.
-SURVIVAL_FLOOR = 1e-18
 _HAZARD_CAP = -np.log(SURVIVAL_FLOOR)
 
 #: Default grids are capped at this many points to bound explanation cost.
@@ -85,13 +76,13 @@ def _checked_survival(S, n_rows: int, grid: TimeGrid) -> np.ndarray:
         M = np.asarray(S, dtype=float)
     except (TypeError, ValueError):
         M = None
+    if M is not None and n_rows == 0 and M.shape in ((0,), (0, n_points)):
+        # no rows: the empty list a per-row callable gives, or an empty matrix
+        return np.empty((0, n_points))
     if M is not None and M.shape == (n_rows, n_points) and (
-        M.size == 0
-        or (
-            M.min() >= -_SHAPE_TOL
-            and M.max() <= 1 + _SHAPE_TOL
-            and np.diff(M, axis=1).max() <= _SHAPE_TOL
-        )
+        M.min() >= -_SHAPE_TOL
+        and M.max() <= 1 + _SHAPE_TOL
+        and np.diff(M, axis=1).max() <= _SHAPE_TOL
     ):
         return np.clip(M, 0.0, 1.0)
     for i, row in enumerate(S if np.iterable(S) else [S]):
@@ -118,22 +109,23 @@ class Explainer:
     ``model`` is either a fitted built-in model (Kaplan-Meier, Cox or
     Weibull AFT) or a batch callable ``f(X, grid)`` returning the (n, T)
     survival matrix of the rows of ``X`` at ``grid``, as one array or as one
-    vector per row. A callable's output is
-    checked on every call, by one check for both contracts: a non-finite
-    value raises ``NumericError``; a non-numeric value, a wrong shape, a
-    value out of [0, 1] or a rising curve raises ``InputError``; each names
-    the first bad row. A callable must be safe
-    for concurrent invocation, and row-wise: a row's output must not depend
-    on the other rows of its batch, since exact SurvSHAP predicts a repeated
-    coalition row once and reuses it. The built-in models are row-wise.
-    :func:`explain` wraps a per-row callable ``f(x, grid)``, which returns
-    one row's (T,) survival vector, in this batch form. ``grid`` is a
-    ``TimeGrid`` or a sequence of times, by default ``default_time_grid``.
+    vector per row; the one-row prediction the constructor makes refuses
+    anything else with ``InputError``. A callable's output is checked on
+    every call, by one check for both contracts: a non-finite value raises
+    ``NumericError``; a non-numeric value, a wrong shape, a value out of
+    [0, 1] or a rising curve raises ``InputError``; each names the first bad
+    row. A callable must be safe for concurrent invocation, and row-wise: a
+    row's output must not depend on the other rows of its batch, since exact
+    SurvSHAP predicts a repeated coalition row once and reuses it. The
+    built-in models are row-wise. :func:`explain` wraps a per-row callable
+    ``f(x, grid)``, which returns one row's (T,) survival vector, in this
+    batch form. ``grid`` is a ``TimeGrid`` or a sequence of times, by
+    default ``default_time_grid``.
 
     The cumulative hazard ``chf`` is capped at -log(``SURVIVAL_FLOOR``),
-    about 41.4, and ``risk`` is its sum over the grid. A Cox or Weibull AFT
-    model gives it from its own hazard; Kaplan-Meier and callables give
-    -log S with S floored at ``SURVIVAL_FLOOR``.
+    about 41.4, and ``risk`` is its sum over the grid. A built-in model gives
+    it from ``predict_cumulative_hazard_matrix``; a callable gives -log S
+    with S floored at ``SURVIVAL_FLOOR``.
     """
 
     model: object
@@ -166,15 +158,15 @@ class Explainer:
     def _cumulative_hazard(self, X: np.ndarray) -> np.ndarray:
         """(n, T) cumulative hazard, capped at -log(``SURVIVAL_FLOOR``).
 
-        A Cox or Weibull AFT model computes it directly; NaN stays NaN. For
-        any other model it is -log of the survival matrix floored at
-        ``SURVIVAL_FLOOR``.
+        A callable's is -log of its checked survival matrix floored at
+        ``SURVIVAL_FLOOR``. A built-in model's comes from
+        ``predict_cumulative_hazard_matrix``; NaN stays NaN.
         """
-        if isinstance(self.model, (CoxModel, WeibullAftModel)):
-            H = predict_cumulative_hazard_matrix(self.model, X, self.grid)
-            # minimum, not fmin: a NaN hazard must reach the metrics' checks
-            return np.minimum(H, _HAZARD_CAP, out=H)
-        return -np.log(np.clip(self.survival_matrix(X), SURVIVAL_FLOOR, 1.0))
+        if callable(self.model):
+            return -np.log(np.clip(self.survival_matrix(X), SURVIVAL_FLOOR, 1.0))
+        H = predict_cumulative_hazard_matrix(self.model, X, self.grid)
+        # minimum, not fmin: a NaN hazard must reach the metrics' checks
+        return np.minimum(H, _HAZARD_CAP, out=H)
 
     def predict(self, X, output_type="survival"):
         """Predictions for the rows of ``X`` in the requested format.
@@ -210,20 +202,16 @@ class Explainer:
 def explain(model, background: SurvivalDataset, grid=None) -> Explainer:
     """Wrap a fitted model or a per-row prediction function as an Explainer.
 
-    Built-in models (Kaplan-Meier, Cox, Weibull AFT) are used as they are.
-    Anything else must be a callable ``(x, grid) ->`` vector of survival
+    A callable is a per-row function ``(x, grid) ->`` vector of survival
     probabilities over ``grid`` for one feature vector; it is called row by
-    row and checked as :class:`Explainer` describes; any other return raises
-    ``InputError``. Its output for a row must depend on that row alone (no
-    state carried between calls), since a repeated row may be predicted
-    once and reused. ``grid`` is the one evaluation grid of every prediction,
-    metric and explanation drawn from the explainer, as :class:`Explainer` takes it.
+    row and checked as :class:`Explainer` describes. Its output for a row
+    must depend on that row alone (no state carried between calls), since a
+    repeated row may be predicted once and reused. Anything else goes to
+    :class:`Explainer` as it is, which takes the built-in models (Kaplan-Meier,
+    Cox, Weibull AFT) and refuses any other object with ``InputError``.
+    ``grid`` is the one evaluation grid of every prediction, metric and
+    explanation drawn from the explainer, as :class:`Explainer` takes it.
     """
-    if isinstance(model, (CoxModel, WeibullAftModel, KaplanMeierModel)):
-        return Explainer(model, background, grid)
     if callable(model):
         return Explainer(lambda X, grid: [model(row, grid) for row in X], background, grid)
-    raise InputError(
-        f"unsupported model type {type(model).__name__}; "
-        "pass a fitted built-in model or a prediction function"
-    )
+    return Explainer(model, background, grid)

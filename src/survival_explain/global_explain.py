@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SurvivalDataset, TimeGrid
+from .data import TimeGrid
 from .errors import InputError
 from .explainer import Explainer, _normalize_output_type, _quantile_grid
 from .metrics import _prepared_loss
@@ -142,6 +142,8 @@ def model_parts(
         raise InputError("n_permutations must be at least 1")
     _seed_sequence(seed)  # a bad seed or variable fails before the first prediction
     data = explainer.background
+    if isinstance(variables, str):
+        raise InputError(f"variables must be a list of names, got the string {variables!r}")
     variables = list(data.feature_names if variables is None else variables)
     columns = [data.column_index(name) for name in variables]
     if len(set(columns)) < len(columns):
@@ -270,7 +272,10 @@ def model_profile_2d(
     output_type: str = "survival",
 ) -> ProfileSurface:
     """Two-variable PDP surface, indexed (first grid, second grid[, time])."""
-    first, second = variables
+    pair = () if isinstance(variables, str) else tuple(variables)
+    if len(pair) != 2:
+        raise InputError(f"variables must be a list of two names, got {variables!r}")
+    first, second = pair
     if first == second:
         raise InputError("model_profile_2d needs two distinct variables")
     output_type = _normalize_output_type(output_type)
@@ -293,13 +298,14 @@ def model_profile_2d(
     )
 
 
-def model_diagnostics(explainer: Explainer, data: SurvivalDataset) -> ResidualSet:
-    """Cox-Snell, martingale, and deviance residuals for every observation.
+def model_diagnostics(explainer: Explainer) -> ResidualSet:
+    """Cox-Snell, martingale, and deviance residuals of each background observation.
 
     Cox-Snell residuals step-evaluate the explainer's cumulative hazard at
     each observed time. Deviance uses the 0·ln(0) = 0 convention for
     censored rows and is flagged undefined for an event with zero hazard.
     """
+    data = explainer.background
     chf = explainer.predict(data.features, "chf")
     idx = np.searchsorted(explainer.grid.points, data.times, side="right") - 1
     cox_snell = np.where(

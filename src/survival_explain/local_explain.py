@@ -398,7 +398,10 @@ def predict_profile(
         _check_grid_size(grid_size)
         grid_values = np.unique(np.append(_quantile_grid(column, grid_size), x[j]))
     else:
-        grid_values = np.unique(np.asarray(grid_values, dtype=float))
+        grid_values = np.asarray(grid_values, dtype=float)
+        if grid_values.ndim > 1:
+            raise InputError(f"grid_values must be one-dimensional, got shape {grid_values.shape}")
+        grid_values = np.unique(grid_values)
         if not grid_values.size:
             raise InputError("grid_values must be nonempty")
         if not np.all(np.isfinite(grid_values)):

@@ -28,6 +28,9 @@ _DIVERGENCE_BOUND = 20.0
 # rejects the step.
 _QUIET_OVERFLOW = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
+#: Survival is floored at this before any logarithm; the explainer caps hazards at its -log.
+SURVIVAL_FLOOR = 1e-18
+
 
 @dataclass
 class CoxModel:
@@ -279,14 +282,18 @@ def _checked_features(model, X) -> np.ndarray:
 
 
 def predict_cumulative_hazard_matrix(model, X: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Cumulative hazard of a Cox or Weibull AFT model for every row of ``X``
-    at every grid point, (n, len(grid)), uncapped.
+    """Cumulative hazard of a built-in model for every row of ``X`` at every
+    grid point, (n, len(grid)).
 
     Cox: rr(x) * H0(t) with rr(x) = exp(beta @ (x - feature_means)).
-    Weibull AFT: (t / lam(x))**shape. The Kaplan-Meier model has no such
-    form: its hazard is taken from its survival curve.
+    Weibull AFT: (t / lam(x))**shape. Both are uncapped. Kaplan-Meier: -log
+    of its curve clipped to [``SURVIVAL_FLOOR``, 1], taken once over the grid
+    and repeated for every row. Any other model raises ``InputError``.
     """
     X = _checked_features(model, X)
+    if isinstance(model, KaplanMeierModel):
+        H = -np.log(np.clip(model.curve.evaluate(grid.points), SURVIVAL_FLOOR, 1.0))
+        return np.broadcast_to(H, (X.shape[0], len(grid))).copy()
     if isinstance(model, CoxModel):
         # row-wise reduction, not a matvec: keeps each row's linear predictor
         # bit-identical regardless of how the rows are batched
@@ -297,7 +304,8 @@ def predict_cumulative_hazard_matrix(model, X: np.ndarray, grid: TimeGrid) -> np
         H = grid.points[None, :] / lam[:, None]
         H **= model.shape
         return H
-    raise InputError(f"unsupported model type {type(model).__name__}")
+    raise InputError(f"unsupported model type {type(model).__name__}; "
+                     "pass a fitted built-in model or a prediction function")
 
 
 def predict_survival_matrix(model, X: np.ndarray, grid: TimeGrid) -> np.ndarray:

@@ -362,12 +362,12 @@ def test_criterion_7_residual_identities():
         # every distinct event time must sit on the grid for the sum identity
         data = simulate_cox(n=80, beta=[0.8, -0.5], seed=11)
         explainer = explain(fit_cox(data), data)
-        res = model_diagnostics(explainer, data)
+        res = model_diagnostics(explainer)
         assert np.array_equal(res.martingale, data.events - res.cox_snell)
         assert abs(res.martingale.sum()) < 1e-6
 
         big = simulate_cox(n=500, beta=[1.0, -1.0], seed=21)
-        big_res = model_diagnostics(explain(fit_cox(big), big), big)
+        big_res = model_diagnostics(explain(fit_cox(big), big))
         residual_data = make_dataset(big_res.cox_snell, big.events)
         km = kaplan_meier(residual_data)
         assert np.max(np.abs(km.values - np.exp(-km.times))) < 0.1

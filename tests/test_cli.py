@@ -26,8 +26,9 @@ from survival_explain import (
 )
 from survival_explain import svg
 from survival_explain.artifacts import TOOL_VERSION
-from survival_explain.cli import main
+from survival_explain.cli import build_parser, main
 from survival_explain.ingest import ingest_csv
+from survival_explain.metrics import LOSS_NAMES
 
 from conftest import simulate_cohort, simulate_cox
 
@@ -85,6 +86,102 @@ COMMAND_CORPUS = [
 # the commands that draw at random, and those that can draw a curve
 SEEDED = {"parts", "shap", "lime", "survshap-global"}
 PLOTTED = {"fit", "predict", "performance", "parts", "profile", "ice", "shap", "survshap-global"}
+
+
+# (default, choices, type, required, nargs) of each option every model
+# command takes, and of each option of every command beyond those
+MODEL_COMMAND_OPTIONS = {
+    "data": (None, None, None, True, None),
+    "time_col": (None, None, None, True, None),
+    "event_col": (None, None, None, True, None),
+    "model": ("cox", ("km", "cox", "weibull_aft"), None, False, None),
+    "out": (".", None, None, False, None),
+}
+OUTPUT_TYPE_CHOICES = ("survival", "chf", "risk")
+COMMAND_OPTIONS = {
+    "fit": {"svg": (False, None, None, False, 0)},
+    "predict": {
+        "row": (0, None, int, False, None),
+        "output_type": ("survival", OUTPUT_TYPE_CHOICES, None, False, None),
+        "svg": (False, None, None, False, 0),
+    },
+    "performance": {
+        "svg": (False, None, None, False, 0),
+        "at_time": (None, None, float, False, None),
+    },
+    "parts": {
+        "seed": (42, None, int, False, None),
+        "svg": (False, None, None, False, 0),
+        "loss": ("brier_integrated", LOSS_NAMES, None, False, None),
+        "n_permutations": (10, None, int, False, None),
+        "variable": (None, None, None, False, None),
+        "ratio": (False, None, None, False, 0),
+    },
+    "profile": {
+        "n_background": (100, None, int, False, None),
+        "output_type": ("survival", OUTPUT_TYPE_CHOICES, None, False, None),
+        "svg": (False, None, None, False, 0),
+        "variable": (None, None, None, True, None),
+        "method": ("pdp", ("pdp", "ale"), None, False, None),
+        "grid_size": (None, None, int, False, None),
+    },
+    "profile2d": {
+        "n_background": (100, None, int, False, None),
+        "output_type": ("survival", OUTPUT_TYPE_CHOICES, None, False, None),
+        "variables": (None, None, None, True, 2),
+        "grid_size": (10, None, int, False, None),
+    },
+    "diagnostics": {},
+    "shap": {
+        "row": (0, None, int, False, None),
+        "method": ("auto", ("auto", "exact", "sampling"), None, False, None),
+        "n_permutations": (100, None, int, False, None),
+        "n_background": (100, None, int, False, None),
+        "seed": (42, None, int, False, None),
+        "svg": (False, None, None, False, 0),
+    },
+    "lime": {
+        "row": (0, None, int, False, None),
+        "seed": (42, None, int, False, None),
+        "n_neighbors": (100, None, int, False, None),
+    },
+    "ice": {
+        "row": (0, None, int, False, None),
+        "output_type": ("survival", OUTPUT_TYPE_CHOICES, None, False, None),
+        "svg": (False, None, None, False, 0),
+        "variable": (None, None, None, True, None),
+        "grid_size": (25, None, int, False, None),
+    },
+    "survshap-global": {
+        "method": ("auto", ("auto", "exact", "sampling"), None, False, None),
+        "n_permutations": (100, None, int, False, None),
+        "n_background": (100, None, int, False, None),
+        "seed": (42, None, int, False, None),
+        "svg": (False, None, None, False, 0),
+        "max_rows": (None, None, int, False, None),
+    },
+}
+
+
+def test_each_command_declares_exactly_its_option_table():
+    _, commands = build_parser()
+    expected = {
+        name: {**MODEL_COMMAND_OPTIONS, **options} for name, options in COMMAND_OPTIONS.items()
+    }
+    expected["plot"] = {
+        "artifact": (None, None, None, True, None),
+        "out": (".", None, None, False, None),
+    }
+    actual = {
+        name: {
+            action.dest: (action.default, action.choices, action.type, action.required, action.nargs)
+            for action in parser._actions
+            if action.dest != "help"
+        }
+        for name, parser in commands.choices.items()
+    }
+    assert actual == expected
+    assert sum(len(options) for options in actual.values()) == 99
 
 
 class TestCommandCorpus:

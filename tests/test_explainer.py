@@ -8,6 +8,7 @@ from survival_explain import (
     CoxModel,
     Explainer,
     InputError,
+    KaplanMeierModel,
     NumericError,
     StepCurve,
     SurvivalDataset,
@@ -127,8 +128,14 @@ class TestExplainConstruction:
             explain(constant_survival(0.5), data, grid=TimeGrid(points=np.array([1.0, 2.0])))
 
     def test_unsupported_model_object_rejected(self, cox_data):
-        with pytest.raises(InputError, match="prediction function"):
-            explain(object(), cox_data)
+        # explain and the constructor refuse it with the one message models.py raises
+        message = (
+            "^unsupported model type object; "
+            "pass a fitted built-in model or a prediction function$"
+        )
+        for entry in (explain, Explainer):
+            with pytest.raises(InputError, match=message):
+                entry(object(), cox_data)
 
     def test_same_background_gives_identical_grid(self, cox_data):
         first = explain(fit_cox(cox_data), cox_data)
@@ -309,6 +316,24 @@ class TestPredict:
         assert batch.shape == (1, len(cox_explainer.grid))
         assert np.array_equal(single, batch[0])
 
+    @pytest.mark.parametrize("output_type", ["survival", "chf", "risk"])
+    @pytest.mark.parametrize("kind", ["cox", "km", "batch", "per_row"])
+    def test_an_empty_batch_gives_empty_predictions(self, kind, output_type, cox_data):
+        if kind == "cox":
+            explainer = explain(fit_cox(cox_data), cox_data)
+        elif kind == "km":
+            explainer = explain(fit_kaplan_meier(cox_data), cox_data)
+        elif kind == "batch":
+            explainer = Explainer(
+                lambda X, g: np.exp(-np.outer(np.exp(X[:, 0]), g.points)), cox_data
+            )
+        else:
+            explainer = explain(lambda x, g: np.exp(-g.points), cox_data)
+        empty = np.empty((0, cox_data.n_features))
+        predicted = explainer.predict(empty, output_type)
+        T = len(explainer.grid)
+        assert predicted.shape == ((0,) if output_type == "risk" else (0, T))
+
     def test_positional_grid_matches_the_default(self, cox_explainer, cox_data):
         # the benchmark's layer tracer passes the grid positionally
         for explainer in (cox_explainer, explain(constant_survival(0.5), cox_data)):
@@ -398,13 +423,22 @@ class TestHazardNativeChf:
         with pytest.raises(NumericError, match="predicted survival is not finite for row 0"):
             brier_score(explainer, cox_data)
 
-    @pytest.mark.parametrize("kind", ["km", "per_row", "batch"])
+    @pytest.mark.parametrize(
+        "kind", ["km", "km_past_the_bounds", "km_reaching_zero", "per_row", "batch"]
+    )
     def test_other_models_take_chf_and_risk_from_floored_survival(self, kind, cox_data):
         def per_row(x, grid):
             return np.exp(-grid.points * np.exp(4.0 * x[0]))
 
         if kind == "km":
             explainer = explain(fit_kaplan_meier(cox_data), cox_data)
+        elif kind.startswith("km_"):
+            # a hand-built curve may stray past [0, 1] within the shape tolerance
+            values = [1.0 + 5e-10, 0.5, -5e-10]
+            if kind == "km_reaching_zero":
+                values = [0.75, 0.25, 0.0]
+            curve = StepCurve(np.array([1.0, 2.0, 3.0]), np.array(values), "survival")
+            explainer = explain(KaplanMeierModel(curve), cox_data)
         elif kind == "per_row":
             explainer = explain(per_row, cox_data)
         else:

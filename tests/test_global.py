@@ -270,16 +270,16 @@ class TestModelProfile2d:
 
 class TestModelDiagnostics:
     def test_martingale_identity_is_bit_exact(self, cox_data, cox_explainer):
-        res = model_diagnostics(cox_explainer, cox_data)
+        res = model_diagnostics(cox_explainer)
         assert np.array_equal(res.martingale, cox_data.events - res.cox_snell)
 
     def test_censored_rows_mirror_cox_snell(self, cox_data, cox_explainer):
-        res = model_diagnostics(cox_explainer, cox_data)
+        res = model_diagnostics(cox_explainer)
         censored = cox_data.events == 0
         assert np.array_equal(res.martingale[censored], -res.cox_snell[censored])
 
     def test_cox_snell_nonnegative(self, cox_data, cox_explainer):
-        res = model_diagnostics(cox_explainer, cox_data)
+        res = model_diagnostics(cox_explainer)
         assert np.all(res.cox_snell >= 0.0)
 
     def test_unit_hazard_event_has_zero_residuals(self):
@@ -289,7 +289,7 @@ class TestModelDiagnostics:
             return np.exp(-grid.points / 4.0)
 
         explainer = explain(quarter_hazard, data)
-        res = model_diagnostics(explainer, data)
+        res = model_diagnostics(explainer)
         assert res.cox_snell[3] == 1.0
         assert res.martingale[3] == 0.0
         assert res.deviance[3] == 0.0
@@ -301,7 +301,7 @@ class TestModelDiagnostics:
             return np.ones(len(grid))
 
         explainer = explain(all_ones, data, grid=TimeGrid(np.array([1.0, 2.0])))
-        res = model_diagnostics(explainer, data)
+        res = model_diagnostics(explainer)
         assert not res.deviance_defined[0]
         assert np.isnan(res.deviance[0])
         assert res.martingale[0] == 1.0
@@ -310,18 +310,18 @@ class TestModelDiagnostics:
         assert res.deviance[1] == 0.0
 
     def test_fitted_cox_martingales_sum_to_zero(self, cox_data, cox_explainer):
-        res = model_diagnostics(cox_explainer, cox_data)
+        res = model_diagnostics(cox_explainer)
         assert abs(res.martingale.sum()) < 1e-6
 
     def test_deviance_sign_matches_martingale(self, cox_data, cox_explainer):
-        res = model_diagnostics(cox_explainer, cox_data)
+        res = model_diagnostics(cox_explainer)
         ok = res.deviance_defined
         assert np.array_equal(np.sign(res.deviance[ok]), np.sign(res.martingale[ok]))
 
     def test_cox_snell_km_tracks_unit_exponential(self):
         data = simulate_cox(n=500, beta=[1.0, -1.0], seed=21)
         explainer = explain(fit_cox(data), data)
-        res = model_diagnostics(explainer, data)
+        res = model_diagnostics(explainer)
 
         # product-limit estimate over the residuals, written out longhand
         order = np.argsort(res.cox_snell, kind="stable")

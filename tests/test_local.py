@@ -631,6 +631,24 @@ BAD_ARGUMENTS = {
         lambda ex: model_parts(ex, n_permutations=3, variables=["x0", "x0"]),
         "^variables must be distinct",
     ),
+    "model_parts string of variables": (
+        lambda ex: model_parts(ex, n_permutations=3, variables="x0"),
+        "^variables must be a list of names, got the string 'x0'$",
+    ),
+    "model_profile_2d string of variables": (
+        lambda ex: model_profile_2d(ex, "x0"),
+        "^variables must be a list of two names, got 'x0'$",
+    ),
+    "model_profile_2d one variable": (
+        lambda ex: model_profile_2d(ex, ("x0",)),
+        "^variables must be a list of two names, got \\('x0',\\)$",
+    ),
+    "predict_profile two-dimensional grid_values": (
+        lambda ex: predict_profile(
+            ex, ex.background.features[0], "x0", grid_values=[[0.1, 0.2], [0.3, 0.4]]
+        ),
+        "^grid_values must be one-dimensional, got shape \\(2, 2\\)$",
+    ),
 }
 
 

@@ -509,5 +509,6 @@ class TestOneFormulaPerModel:
     def test_unsupported_model_is_an_input_error(self):
         grid = TimeGrid(points=np.array([1.0, 2.0]))
         for predict in (predict_survival_matrix, predict_cumulative_hazard_matrix):
-            with pytest.raises(InputError, match="^unsupported model type object$"):
+            with pytest.raises(InputError, match="^unsupported model type object; "
+                               "pass a fitted built-in model or a prediction function$"):
                 predict(object(), np.zeros((2, 1)), grid)

@@ -5,7 +5,9 @@ Explainer, runs one library operation, and writes ``<command>.json`` into
 the output directory. Artifacts carry no timestamps and serialize floats
 exactly, so rerunning a command with the same inputs and seed produces
 byte-identical files. Exit codes: 0 success, 2 input error, 3 numeric or
-undefined-result error.
+undefined-result error. A result that is made but not to be trusted (an
+unconverged fit, a degenerate SurvLIME surrogate) exits 0 with one
+``warning:`` line on stderr per flag; the artifact records the flag itself.
 """
 
 from __future__ import annotations
@@ -143,6 +145,12 @@ def _fit_model(name, data):
     if name == "cox":
         return fit_cox(data)
     return fit_weibull_aft(data)
+
+
+def _warn(message):
+    """One ``warning:`` line on stderr for a result that is not to be trusted;
+    the command still succeeds."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _check_row(row, data):
@@ -368,6 +376,9 @@ def _handle_lime(args, explainer, data):
         "degenerate": lime.degenerate,
         "neighborhood_size": lime.neighborhood_size,
     }
+    if lime.degenerate:
+        _warn("the SurvLIME surrogate is degenerate: its weighted design is rank-deficient, "
+              "so its coefficients are a ridge fallback, not identified by the data")
     return result, None, None
 
 
@@ -461,6 +472,9 @@ def run(args) -> None:
 
     data = ingest_csv(args.data, args.time_col, args.event_col)
     model = _fit_model(args.model, data)
+    if not getattr(model, "converged", True):
+        _warn(f"the {args.model} fit did not converge, so its estimates and every result "
+              "drawn from them are not to be trusted")
     if args.command == "fit":
         grid = None
         result, curves, meta = _fit_payload(model, data)

@@ -6,17 +6,19 @@ the coalition game v(S)(t) = mean over background rows of the prediction
 with coordinates in S taken from the explained instance. Exact enumeration
 runs when the coalition count is desk-scale; otherwise permutation sampling
 with telescoping marginal contributions keeps the efficiency identity exact
-per sampled permutation. The sampler predicts each distinct coalition once,
-its background rows stacked with those of other coalitions, whole coalitions
-per model call. Exact enumeration goes further and predicts each distinct
+per sampled permutation. Both methods evaluate their K coalitions (all 2^p,
+or the sampler's distinct prefixes) in one engine that predicts each distinct
 coalition row once: the row for coalition S and background row b depends only
 on S ∩ D(b), where D(b) holds the variables on which b differs from the
-instance, so it needs Σ_b 2^|D(b)| rows instead of 2^p per background row.
-Either way the cost is the rows predicted, not the number of calls.
+instance. A background row with 2^|D(b)| < K needs only its distinct rows
+(Σ_b 2^|D(b)| in all for exact enumeration); any other row is predicted for
+every coalition, its run of neighbours stacked coalition-major. Either way the
+cost is the rows predicted, not the number of calls.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +34,6 @@ from .global_explain import (
     _check_grid_size,
     _replicate_standard_error,
     _seed_sequence,
-    _stacked_means,
     background_sample,
 )
 
@@ -74,7 +75,9 @@ class SurvLimeResult:
     ``fit_residual`` is the weighted least-squares objective at the optimum,
     a local-fidelity indicator: near zero means the black box behaves like a
     proportional-hazards model around the instance. ``degenerate`` marks a
-    ridge fallback after singular normal equations.
+    ridge fallback: the weighted design has lower rank than its column
+    count (fewer neighbours than unknowns, say), or its normal equations
+    fail to solve.
     """
 
     surrogate_beta: np.ndarray
@@ -117,59 +120,154 @@ class GlobalSurvShap:
     beeswarm_data: np.ndarray
 
 
-def _coalition_values(explainer, x, background):
-    """The (2^p, T) value matrix: row S is the mean survival over
-    ``background`` with the variables in coalition S taken from ``x``.
+def _distinct_rows(table):
+    """The index of the first of each distinct row of the 2-D bool ``table``,
+    in the order ``np.unique(table, axis=0)`` gives, and each row's number
+    among them. Rows are packed to bytes first: sorting short byte strings
+    is some 60 times faster than ``axis=0`` at 100 columns."""
+    packed = np.packbits(table, axis=1)
+    _, first, inverse = np.unique(
+        packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+        return_index=True,
+        return_inverse=True,
+    )
+    return first, inverse
+
+
+def _gather_tables(coalitions, patterns):
+    """For each distinct row D of the (g, p) bool table ``patterns``: the
+    coalitions of the distinct S ∩ D, and each coalition's index into them;
+    then each pattern row's table number.
+
+    Patterns go in groups whose columns U number at most log2 K. Each
+    coalition's code is its bits on U as an integer, and S ∩ D is its code
+    masked by D's bits, so a table of the 2^|U| <= K possible keys finds the
+    distinct ones without a sort. Only rows with 2^|D| < K are gathered, so
+    each pattern fits a group alone; exact SurvSHAP's fit one group.
+    """
+    n_coalitions, p = coalitions.shape
+    first, pattern_of = _distinct_rows(patterns)
+    width = n_coalitions.bit_length() - 1
+    groups = []  # (union of the columns, its patterns)
+    for pattern in patterns[first]:
+        if groups and np.count_nonzero(groups[-1][0] | pattern) <= width:
+            np.logical_or(groups[-1][0], pattern, out=groups[-1][0])
+            groups[-1][1].append(pattern)
+        else:
+            groups.append((pattern.copy(), [pattern]))
+    tables = []
+    for union, members in groups:
+        columns = np.flatnonzero(union)
+        # exact in floating point: every code is below 2^|U| <= K
+        weights = 2.0 ** np.arange(len(columns))
+        codes = (coalitions[:, columns].astype(float) @ weights).astype(np.intp)
+        for pattern in members:
+            keys = codes & int(pattern[columns] @ weights)
+            lookup = np.zeros(1 << len(columns), dtype=np.intp)
+            lookup[keys] = 1
+            distinct = np.flatnonzero(lookup)
+            lookup[distinct] = np.arange(len(distinct))
+            index = lookup[keys]
+            # any coalition with the key will do: off D the row equals x
+            representative = np.empty(len(distinct), dtype=np.intp)
+            representative[index] = np.arange(n_coalitions)
+            tables.append((coalitions[representative], index))
+    return tables, pattern_of
+
+
+def _unit_rows(x, units):
+    """The rows of ``units`` for one model call: each unit's background rows
+    with the variables set in each of its coalitions taken from ``x``,
+    coalition-major. Built here so the pieces are freed before the call's
+    predictions are summed, which keeps the peak at one call's rows."""
+    rows = [
+        np.where(take[:, None, :], x, sample).reshape(-1, len(x))
+        for _, sample, take, _, _ in units
+    ]
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)
+
+
+def _coalition_values(explainer, x, background, coalitions=None):
+    """The (K, T) value matrix of the K coalitions in the (K, p) bool table
+    ``coalitions``, by default all 2^p with bit j of row ``mask`` in column
+    j: row k is the mean survival over ``background`` with the variables set
+    in ``coalitions[k]`` taken from ``x``.
 
     Background row b differs from ``x`` only on D(b) (compared bit for bit),
-    so its row for S depends only on S ∩ D(b): it needs the 2^|D(b)| distinct
-    rows of ``masks & D(b)`` predicted, not 2^p. Each background row is one
-    unit, except that a row whose D(b) is every variable, so that coalition S
-    reads its row S, is cut into equal pieces within ``_STACK_CELLS`` cells.
-    Each model call takes as many whole units as fit in that budget, and at
-    least one. Each unit is added to a sum from zero in background-row
-    order, the ordered sum ``_stacked_means`` takes over all 2^p coalition
-    blocks, so for a row-wise model the values are bit-identical to it.
+    so its row for coalition S depends only on S ∩ D(b). When 2^|D(b)| < K,
+    by pigeonhole its K rows repeat: it is one unit, its distinct rows,
+    predicted once and gathered back to every coalition. Each run of
+    consecutive other rows is predicted for every coalition, coalition-major
+    as ``_stacked_means`` lays out its blocks, in pieces of as equal a number
+    of coalitions as ``_STACK_CELLS`` cells allow. Each model call takes as
+    many whole units as fit in that budget, and at least one. Each coalition
+    adds its rows to a sum from zero in background-row order, the ordered sum
+    ``_stacked_means`` takes, so for a row-wise model the values are
+    bit-identical to it. Memory is the (K, T) matrix, one call's rows, and a
+    (K, T) gather buffer only once a row with two or more distinct rows is
+    gathered.
     """
     m, p = background.shape
-    per_call = max(1, _STACK_CELLS // len(explainer.grid))
-    masks = np.arange(1 << p)
+    if coalitions is None:
+        coalitions = ((np.arange(1 << p)[:, None] >> np.arange(p)) & 1).astype(bool)
+    n_coalitions, n_times = len(coalitions), len(explainer.grid)
+    per_call = max(1, _STACK_CELLS // n_times)
     differs = background.view(np.int64) != x.view(np.int64)
-    patterns, pattern_of = np.unique(differs @ (1 << np.arange(p)), return_inverse=True)
-    tables = []
-    for pattern in patterns:
-        keys, index = np.unique(masks & pattern, return_inverse=True)
-        take = ((keys[:, None] >> np.arange(p)) & 1).astype(bool)
-        tables.append((take, None if len(keys) == len(masks) else index))
-    units = []  # (background row, its take rows, its gather index, first coalition row)
-    for row, pattern in zip(background, pattern_of):
-        take, index = tables[pattern]
-        size = len(take)
-        if index is None:
+    # |D(b)| < bit_length(K - 1) exactly when 2^|D(b)| < K
+    gathered = differs.sum(axis=1) < (n_coalitions - 1).bit_length()
+    tables, pattern_of = _gather_tables(coalitions, differs[gathered])
+    pattern_of = iter(pattern_of)
+    units = []  # (rows predicted, background rows, coalitions taken, gather index, first coalition)
+    for is_gathered, group in itertools.groupby(range(m), gathered.__getitem__):
+        group = list(group)
+        if is_gathered:
+            for b in group:
+                take, index = tables[next(pattern_of)]
+                units.append((len(take), background[b : b + 1], take, index, 0))
+            continue
+        start, size = group[0], len(group)
+        runs = -(-size // per_call)
+        for i in range(runs):
+            rows = background[start + size * i // runs : start + size * (i + 1) // runs]
             # equal pieces: a full piece then a short one made glibc trim and
-            # refault the heap top on every block, 11 500 page faults per
+            # refault the heap top on every row, 11 500 page faults per exact
             # p = 10 explanation against 300
-            pieces = -(-size // per_call)
-            size = -(-size // pieces)
-        units += [(row, take[lo : lo + size], index, lo) for lo in range(0, len(take), size)]
-    total = np.zeros((1 << p, len(explainer.grid)))
-    gathered = np.empty_like(total)
+            pieces = -(-n_coalitions // (per_call // len(rows)))
+            bounds = [n_coalitions * k // pieces for k in range(pieces + 1)]
+            units += [
+                ((hi - lo) * len(rows), rows, coalitions[lo:hi], None, lo)
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+    total = np.zeros((n_coalitions, n_times))
+    scratch = None
     start = 0
     while start < len(units):
-        stop, n_rows = start + 1, len(units[start][1])
-        while stop < len(units) and n_rows + len(units[stop][1]) <= per_call:
-            n_rows += len(units[stop][1])
+        stop, n_rows = start + 1, units[start][0]
+        while stop < len(units) and n_rows + units[stop][0] <= per_call:
+            n_rows += units[stop][0]
             stop += 1
-        rows = np.concatenate([np.where(take, x, row) for row, take, _, _ in units[start:stop]])
-        predicted = explainer.predict(rows, "survival")
+        predicted = explainer.predict(_unit_rows(x, units[start:stop]), "survival")
         offset = 0
-        for _, take, index, lo in units[start:stop]:
-            block = predicted[offset : offset + len(take)]
-            offset += len(take)
-            if index is None:
+        for size, sample, take, index, lo in units[start:stop]:
+            block = predicted[offset : offset + size]
+            offset += size
+            if index is None and len(sample) == 1:
                 total[lo : lo + len(take)] += block
+            elif index is None:
+                # a grid has two points or more, so this reduce adds the run's
+                # rows one after another, not pairwise
+                run = block.reshape(len(take), len(sample), n_times)
+                np.add.reduce(
+                    np.concatenate([total[lo : lo + len(take), None], run], axis=1),
+                    axis=1,
+                    out=total[lo : lo + len(take)],
+                )
+            elif size == 1:
+                total += block  # one distinct row serves every coalition
             else:
-                total += np.take(block, index, axis=0, out=gathered, mode="clip")
+                if scratch is None:
+                    scratch = np.empty_like(total)
+                total += block.take(index, axis=0, out=scratch, mode="clip")
         start = stop
     total /= m
     return total
@@ -204,8 +302,9 @@ def _exact_shapley(explainer, x, background):
 def _sampled_shapley(explainer, x, background, n_permutations, rng):
     """Permutation-sampled phi, the baseline, and phi's standard error.
 
-    Each order's prefixes are coalitions; the distinct ones are predicted
-    once, and the step that adds variable j to order r is that order's
+    Each order's prefixes are coalitions; the distinct ones go to
+    ``_coalition_values`` once, which predicts each distinct coalition row
+    once. The step that adds variable j to order r is that order's
     contribution of j. The contributions telescope per order, so each order
     alone meets the efficiency identity.
     """
@@ -214,9 +313,10 @@ def _sampled_shapley(explainer, x, background, n_permutations, rng):
     ranks = np.argsort(orders, axis=1)
     # prefixes[r, k] holds the first k variables of order r, k = 0..p
     prefixes = ranks[:, None, :] < np.arange(p + 1)[None, :, None]
-    coalitions, index = np.unique(prefixes.reshape(-1, p), axis=0, return_inverse=True)
+    first, index = _distinct_rows(prefixes.reshape(-1, p))
+    coalitions = prefixes.reshape(-1, p)[first]
     index = index.reshape(n_permutations, p + 1)
-    values = _stacked_means(explainer, background, coalitions, x)
+    values = _coalition_values(explainer, x, background, coalitions)
     contributions = (
         values[np.take_along_axis(index, ranks + 1, axis=1)]
         - values[np.take_along_axis(index, ranks, axis=1)]
@@ -354,13 +454,20 @@ def predict_parts_survlime(
     weighted = design.T * weights
     normal = weighted @ design
     moment = weighted @ targets
-    degenerate = False
-    try:
-        solution = np.linalg.solve(normal, moment)
-        if not np.all(np.isfinite(solution)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        degenerate = True
+    # singular normal equations can still solve in floating point, to an
+    # arbitrary exact fit, so the weighted design's rank decides. Its rows
+    # are an intercept and continuous random draws, so almost surely any
+    # len(moment) of them are independent: its rank is the number of
+    # neighbours with nonzero weight, capped at len(moment). (An SVD would
+    # say the same and page about 1 MiB of LAPACK code into memory.)
+    degenerate = np.count_nonzero(weights) < len(moment)
+    if not degenerate:
+        try:
+            solution = np.linalg.solve(normal, moment)
+            degenerate = not np.all(np.isfinite(solution))
+        except np.linalg.LinAlgError:
+            degenerate = True
+    if degenerate:
         solution = np.linalg.solve(normal + SURVLIME_RIDGE * np.eye(len(moment)), moment)
 
     beta = np.zeros(len(x))

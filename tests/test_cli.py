@@ -489,6 +489,59 @@ class TestErrorExits:
         assert not out.exists()
 
 
+class TestWarnings:
+    """A result that is not to be trusted still exits 0, with one warning line."""
+
+    # the separated set of the models tests: times 1-5, events 1,1,0,1,1, z = 0..4
+    UNCONVERGED = "time,event,z\n1,1,0\n2,1,1\n3,0,2\n4,1,3\n5,1,4\n"
+    TINY = "time,event,age,dose\n5,1,61,0.5\n3,0,48,1.2\n8,1,70,0.1\n2,1,55,0.9\n6,0,66,0.3\n4,1,52,0.7\n"
+    COMMANDS = [
+        ("fit", ()),
+        ("predict", ()),
+        ("performance", ()),
+        ("parts", ("--n-permutations", "2")),
+        ("profile", ("--variable", "z")),
+        ("diagnostics", ()),
+        ("shap", ()),
+        ("lime", ("--n-neighbors", "40")),
+        ("ice", ("--variable", "z")),
+        ("survshap-global", ("--max-rows", "2")),
+    ]
+
+    @pytest.mark.parametrize("command,extra", COMMANDS)
+    def test_unconverged_fit_warns_once_and_exits_0(self, command, extra, tmp_path, capsys):
+        path = tmp_path / "separated.csv"
+        path.write_text(self.UNCONVERGED)
+        assert cli(command, str(path), tmp_path / "out", *extra) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: the cox fit did not converge")
+        assert err.count("\n") == 1
+        assert (tmp_path / "out" / f"{command}.json").exists()
+
+    def test_unconverged_fit_artifact_records_the_flag(self, tmp_path, capsys):
+        path = tmp_path / "separated.csv"
+        path.write_text(self.UNCONVERGED)
+        assert cli("fit", str(path), tmp_path) == 0
+        assert load_artifact(tmp_path, "fit")["result"]["converged"] is False
+
+    def test_degenerate_surrogate_warns_once(self, tmp_path, capsys):
+        path = tmp_path / "tiny.csv"
+        path.write_text(self.TINY)
+        for seed in range(5):
+            out = tmp_path / f"out{seed}"
+            argv = ("--n-neighbors", "2", "--seed", str(seed))
+            assert cli("lime", str(path), out, *argv) == 0
+            err = capsys.readouterr().err
+            assert err.startswith("warning: the SurvLIME surrogate is degenerate")
+            assert err.count("\n") == 1
+            assert load_artifact(out, "lime")["result"]["degenerate"] is True
+
+    @pytest.mark.parametrize("command,extra", [("fit", ()), ("lime", ())])
+    def test_trusted_results_print_nothing(self, command, extra, corpus_csv, tmp_path, capsys):
+        assert cli(command, corpus_csv, tmp_path, *extra) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestDeterminism:
     # Stochastic commands must be reproducible from config + seed alone.
     REPEATED = [

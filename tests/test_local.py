@@ -29,7 +29,11 @@ from survival_explain import (
 
 from survival_explain import local_explain
 from survival_explain.global_explain import _STACK_CELLS, _stacked_means
-from survival_explain.local_explain import EXACT_COALITION_MAX, _coalition_values
+from survival_explain.local_explain import (
+    EXACT_COALITION_MAX,
+    _coalition_values,
+    _distinct_rows,
+)
 
 from conftest import make_dataset, simulate_cohort, simulate_cox
 
@@ -246,14 +250,18 @@ class TestStackedBatches:
         predict_parts_survshap(explainer, data.features[0], method="exact")
         per_call = _STACK_CELLS // len(explainer.grid)
         assert max(model.call_rows) <= per_call
-        # every background row but x's own differs from x on all ten
-        # variables; its 2^10 rows come in the fewest equal pieces the budget
-        # allows, never a full piece and a remainder
-        pieces = math.ceil((1 << 10) / per_call)
-        assert pieces > 1 and (1 << 10) % pieces == 0
-        piece = (1 << 10) // pieces
-        # x's own one-row block shares a call with one piece
-        assert sorted(model.call_rows) == [piece] * (99 * pieces - 1) + [piece + 1]
+        # background row 0 is x itself and needs one row; rows 1-99 differ
+        # from x on all ten variables and form one run, sent coalition-major:
+        # a piece is whole coalitions of all 99 rows, in the fewest pieces the
+        # budget allows, their sizes as equal as whole coalitions allow
+        pieces = math.ceil((1 << 10) / (per_call // 99))
+        assert model.calls == pieces
+        # x's own one-row block shares the first call with the first piece
+        first, *rest = model.call_rows
+        assert first % 99 == 1 and all(rows % 99 == 0 for rows in rest)
+        sizes = [first // 99] + [rows // 99 for rows in rest]
+        assert sum(sizes) == 1 << 10
+        assert max(sizes) - min(sizes) == (0 if (1 << 10) % pieces == 0 else 1)
 
     def test_two_variable_profile_batches_its_grid(self, counted):
         _, explainer, model, rows_per_call = counted
@@ -264,11 +272,20 @@ class TestStackedBatches:
         assert model.calls <= math.ceil(rows / rows_per_call)
 
 
-def all_rows_values(explainer, x, background):
-    """The coalition value matrix from every coalition's whole background block."""
-    p = len(x)
-    take = ((np.arange(1 << p)[:, None] >> np.arange(p)) & 1).astype(bool)
-    return _stacked_means(explainer, background, take, x)
+def all_rows_values(explainer, x, background, coalitions=None):
+    """The coalition value matrix from every coalition's whole background
+    block; by default the coalitions are all 2^p, in mask order."""
+    if coalitions is None:
+        p = len(x)
+        coalitions = ((np.arange(1 << p)[:, None] >> np.arange(p)) & 1).astype(bool)
+    return _stacked_means(explainer, background, coalitions, x)
+
+
+def sampled_coalitions(p, n_permutations, seed):
+    """The distinct prefix coalitions the sampler draws, as frozensets."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    orders = [rng.permutation(p) for _ in range(n_permutations)]
+    return {frozenset(order[:k].tolist()) for order in orders for k in range(p + 1)}
 
 
 def weibull_row_model(x, grid):
@@ -277,7 +294,7 @@ def weibull_row_model(x, grid):
 
 
 class TestDistinctCoalitionRows:
-    """Exact SurvSHAP predicts each distinct coalition row once."""
+    """Both SurvSHAP methods predict each distinct coalition row once."""
 
     MODELS = {
         "cox": fit_cox,
@@ -374,6 +391,101 @@ class TestDistinctCoalitionRows:
             tracemalloc.stop()
         assert peak < 3 * 2**20
 
+    # permutations per sampled explanation: enough at small p that rows with
+    # 2^|D(b)| < K are gathered, few at large p to keep the reference cheap
+    SAMPLED_PERMUTATIONS = {1: 3, 3: 6, 6: 12, 10: 12, 20: 6, 70: 3}
+
+    @pytest.mark.parametrize("p", list(SAMPLED_PERMUTATIONS))
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_sampler_bit_identical_to_predicting_every_coalition_block(
+        self, model, p, monkeypatch
+    ):
+        data = simulate_cohort(120, p, seed=p)
+        explainer = explain(self.MODELS[model](data), data)
+        for n_background in (17, 100):
+            background = background_sample(data.features, n_background)
+            outside = background[3].copy()
+            outside[::2] += 0.005  # the continuous columns
+            assert not (background == outside).all(axis=1).any()
+            for x in (background[3], outside):
+                options = dict(
+                    n_background=n_background,
+                    method="sampling",
+                    n_permutations=self.SAMPLED_PERMUTATIONS[p],
+                    seed=p,
+                )
+                result = predict_parts_survshap(explainer, x, **options)
+                with monkeypatch.context() as patched:
+                    patched.setattr(local_explain, "_coalition_values", all_rows_values)
+                    reference = predict_parts_survshap(explainer, x, **options)
+                assert np.array_equal(result.phi, reference.phi)
+                assert np.array_equal(result.baseline, reference.baseline)
+                assert np.array_equal(result.standard_error, reference.standard_error)
+
+    def test_sampler_predicts_each_distinct_row_once(self):
+        # p = 6 with three binary columns: rows close to x are gathered, rows
+        # that differ on enough variables are predicted for every coalition
+        data = simulate_cohort(150, 6, seed=4)
+        calls = []
+
+        def counting(x, grid):
+            calls.append(None)
+            return weibull_row_model(x, grid)
+
+        explainer = explain(counting, data)
+        assert len(calls) == 1  # the construction probe
+        background = background_sample(data.features, 100)
+        coalitions = sampled_coalitions(6, 5, seed=3)
+        n_coalitions = len(coalitions)
+        for x in (data.features[7], background[10]):
+            calls.clear()
+            predict_parts_survshap(explainer, x, method="sampling", n_permutations=5, seed=3)
+            expected, gathered = 0, 0
+            for row in background:
+                differs = frozenset(np.flatnonzero(row.view(np.int64) != x.view(np.int64)).tolist())
+                if 1 << len(differs) < n_coalitions:
+                    expected += len({coalition & differs for coalition in coalitions})
+                    gathered += 1
+                else:
+                    expected += n_coalitions
+            assert 0 < gathered < len(background)
+            assert len(calls) == expected < len(background) * n_coalitions
+
+    def test_sampler_memory_peak_at_seventy_variables(self, monkeypatch):
+        data = simulate_cohort(120, 70, seed=70)
+        explainer = explain(fit_cox(data), data)
+        background = background_sample(data.features, 100)
+
+        def peak(x):
+            tracemalloc.start()
+            try:
+                predict_parts_survshap(explainer, x, method="sampling", n_permutations=20)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        outside = background[3].copy()
+        outside[::2] += 0.005
+        for x in (background[3], outside):
+            measured = peak(x)
+            with monkeypatch.context() as patched:
+                patched.setattr(local_explain, "_coalition_values", all_rows_values)
+                reference = peak(x)
+            assert measured <= 1.1 * reference
+
+    @pytest.mark.parametrize("p", [1, 7, 8, 9, 70])
+    def test_distinct_rows_match_unique_along_rows(self, p):
+        table = np.random.default_rng(p).random((300, p)) < 0.8
+        first, inverse = _distinct_rows(table)
+        distinct, reference = np.unique(table, axis=0, return_inverse=True)
+        assert np.array_equal(table[first], distinct)
+        assert np.array_equal(inverse.ravel(), reference.ravel())
+        firsts = [np.flatnonzero(reference.ravel() == k)[0] for k in range(len(distinct))]
+        assert np.array_equal(first, firsts)
+
+    def test_sampler_no_longer_stacks_whole_blocks(self):
+        assert not hasattr(local_explain, "_stacked_means")
+
     def test_explicit_exact_refuses_more_than_the_cap(self):
         p = EXACT_COALITION_MAX + 1
         data = simulate_cohort(60, p, seed=8)
@@ -459,6 +571,20 @@ class TestSurvLime:
     def test_underdetermined_fit_flags_degenerate(self, handmade_cox):
         data, _, explainer = handmade_cox
         result = predict_parts_survlime(explainer, data.features[0], n_neighbors=2)
+        assert result.degenerate
+        assert np.isfinite(result.surrogate_beta).all()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fewer_neighbours_than_unknowns_is_degenerate_on_every_seed(self, seed):
+        # two neighbours, three unknowns (intercept and two slopes): the normal
+        # matrix is singular even where the solver returns an exact fit
+        data = make_dataset(
+            [5, 3, 8, 2, 6, 4], [1, 0, 1, 1, 0, 1],
+            np.array([[61, 0.5], [48, 1.2], [70, 0.1], [55, 0.9], [66, 0.3], [52, 0.7]]),
+            ["age", "dose"],
+        )
+        explainer = explain(fit_cox(data), data)
+        result = predict_parts_survlime(explainer, data.features[0], n_neighbors=2, seed=seed)
         assert result.degenerate
         assert np.isfinite(result.surrogate_beta).all()
 

@@ -22,7 +22,8 @@ import numpy as np
 from .artifacts import TOOL_VERSION, build_envelope, jsonify, read_artifact, write_artifact
 from .errors import InputError, NumericError
 from .explainer import OUTPUT_TYPES, default_time_grid, explain
-from .global_explain import model_diagnostics, model_parts, model_profile, model_profile_2d
+from .global_explain import (_check_count, model_diagnostics, model_parts, model_profile,
+                             model_profile_2d)
 from .ingest import ingest_csv
 from .local_explain import (
     model_survshap,
@@ -406,8 +407,8 @@ def _handle_ice(args, explainer, data):
 
 
 def _handle_survshap_global(args, explainer, data):
-    if args.max_rows is not None and args.max_rows < 1:
-        raise InputError("--max-rows must be at least 1")
+    if args.max_rows is not None:
+        _check_count("--max-rows", args.max_rows)
     X = data.features if args.max_rows is None else data.features[: args.max_rows]
     aggregate = model_survshap(
         explainer,
@@ -447,17 +448,38 @@ def _config_echo(args) -> dict:
     return {key: value for key, value in vars(args).items() if key != "command"}
 
 
-def _svg_document(envelope: dict, source: str) -> str:
-    """Render an envelope's curves; ``source`` opens the error when it has none."""
-    if not envelope.get("curves"):
+def _svg_document(envelope, source: str) -> str:
+    """Render an envelope's curves; ``source`` opens the error when it has
+    none, or when they or its axis labels are not what the renderer reads."""
+    curves = envelope.get("curves") if isinstance(envelope, dict) else None
+    if not curves:
         raise InputError(f"{source} no curve data; plottable commands: {PLOTTABLE}")
     meta = envelope.get("plot") or {}
+    series = curves if isinstance(curves, list) else [None]
+    columns = [s.get(axis, []) if isinstance(s, dict) else None for s in series for axis in "xy"]
+    if not isinstance(meta, dict) or not all(isinstance(column, list) and all(
+            x is None or isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
+            for x in column) for column in columns):
+        raise InputError(f"{source} malformed curve data: series need x and y lists of finite "
+                         "numbers, and the plot labels an object")
     return render_line_chart(
-        envelope["curves"],
+        curves,
         title=envelope.get("command", ""),
         x_label=meta.get("x_label", "time"),
         y_label=meta.get("y_label", "value"),
     )
+
+
+def _write_output(path, content) -> None:
+    """Write an envelope or an SVG document to ``path``; ``InputError`` on ``OSError``."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(content, dict):
+            write_artifact(path, content)
+        else:
+            path.write_text(content, encoding="utf-8")
+    except OSError as error:
+        raise InputError(f"cannot write {error.filename or path}: {error.strerror or error}") from error
 
 
 def run(args) -> None:
@@ -466,8 +488,7 @@ def run(args) -> None:
     out_dir = Path(args.out)
     if args.command == "plot":
         document = _svg_document(read_artifact(args.artifact), f"artifact {args.artifact} has")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / (Path(args.artifact).stem + ".svg")).write_text(document, encoding="utf-8")
+        _write_output(out_dir / (Path(args.artifact).stem + ".svg"), document)
         return
 
     data = ingest_csv(args.data, args.time_col, args.event_col)
@@ -490,10 +511,9 @@ def run(args) -> None:
     document = None
     if getattr(args, "svg", False):
         document = _svg_document(envelope, f"command {args.command!r} produced")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_artifact(out_dir / f"{args.command}.json", envelope)
+    _write_output(out_dir / f"{args.command}.json", envelope)
     if document is not None:
-        (out_dir / f"{args.command}.svg").write_text(document, encoding="utf-8")
+        _write_output(out_dir / f"{args.command}.svg", document)
 
 
 def main(argv=None) -> int:

@@ -90,9 +90,15 @@ class ResidualSet:
     events: np.ndarray
 
 
+def _check_count(name, value, minimum=1) -> None:
+    """``InputError`` unless the count ``value`` is an integer of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise InputError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
 def _seed_sequence(seed, spawn_key=()) -> np.random.SeedSequence:
     """The sub-seed of a non-negative integer ``seed`` at ``spawn_key``."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InputError("seed must be a non-negative integer")
     return np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
 
@@ -113,8 +119,7 @@ def background_sample(features: np.ndarray, cap: int) -> np.ndarray:
     whenever cap >= n, which keeps averaged profiles bit-comparable with
     manual recomputations over the background.
     """
-    if cap < 1:
-        raise InputError("n_background must be at least 1")
+    _check_count("n_background", cap)
     n = features.shape[0]
     rng = np.random.default_rng(PROFILE_SAMPLE_SEED)
     idx = np.sort(rng.permutation(n)[: min(n, cap)])
@@ -138,8 +143,7 @@ def model_parts(
     Each (variable, repetition) pair draws its permutation from a sub-seed
     split off the main seed, so results do not depend on evaluation order.
     """
-    if n_permutations < 1:
-        raise InputError("n_permutations must be at least 1")
+    _check_count("n_permutations", n_permutations)
     _seed_sequence(seed)  # a bad seed or variable fails before the first prediction
     data = explainer.background
     if isinstance(variables, str):
@@ -180,11 +184,6 @@ def model_parts(
             )
         )
     return results
-
-
-def _check_grid_size(grid_size: int) -> None:
-    if grid_size < 1:
-        raise InputError(f"grid size must be at least 1, got {grid_size}")
 
 
 def _stacked_means(explainer, sample, take, values, output_type="survival"):
@@ -233,7 +232,7 @@ def model_profile(
     sample = background_sample(explainer.background.features, n_background)
     if grid_size is None:
         grid_size = PDP_GRID_SIZE if method == "pdp" else ALE_BINS
-    _check_grid_size(grid_size)
+    _check_count("grid_size", grid_size)
 
     if method == "pdp":
         grid_values = _quantile_grid(column, grid_size)
@@ -281,7 +280,7 @@ def model_profile_2d(
     output_type = _normalize_output_type(output_type)
     j1 = explainer.background.column_index(first)
     j2 = explainer.background.column_index(second)
-    _check_grid_size(grid_size)
+    _check_count("grid_size", grid_size)
     grid1 = _quantile_grid(explainer.background.features[:, j1], grid_size)
     grid2 = _quantile_grid(explainer.background.features[:, j2], grid_size)
     sample = background_sample(explainer.background.features, n_background)

@@ -12,13 +12,12 @@ coalition row once: the row for coalition S and background row b depends only
 on S ∩ D(b), where D(b) holds the variables on which b differs from the
 instance. A background row with 2^|D(b)| < K needs only its distinct rows
 (Σ_b 2^|D(b)| in all for exact enumeration); any other row is predicted for
-every coalition, its run of neighbours stacked coalition-major. Either way the
-cost is the rows predicted, not the number of calls.
+every coalition. Either way the cost is the rows predicted, not the number of
+calls.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +30,7 @@ from .explainer import SURVIVAL_FLOOR, Explainer, _normalize_output_type, _quant
 from .global_explain import (
     PROFILE_BACKGROUND_CAP,
     _STACK_CELLS,
-    _check_grid_size,
+    _check_count,
     _replicate_standard_error,
     _seed_sequence,
     background_sample,
@@ -39,8 +38,9 @@ from .global_explain import (
 
 # exact Shapley enumerates 2^p coalitions; beyond this the sampler takes over
 EXACT_COALITION_LIMIT = 10
-# the most variables an explicit method="exact" accepts: at 2^16 coalitions the
-# (2^p, T) value matrix is 27 MB on a 51-point grid, and it doubles per variable
+# the most variables an explicit method="exact" accepts: at 2^16 one explanation peaks
+# at 79 MiB (tracemalloc, 47-point grid): the 23.5 MiB (2^p, T) value matrix, a gather
+# buffer as large and a 2^p-entry index per distinct D(b); each doubles per variable
 EXACT_COALITION_MAX = 16
 SURVLIME_RIDGE = 1e-8
 
@@ -135,9 +135,9 @@ def _distinct_rows(table):
 
 
 def _gather_tables(coalitions, patterns):
-    """For each distinct row D of the (g, p) bool table ``patterns``: the
-    coalitions of the distinct S ∩ D, and each coalition's index into them;
-    then each pattern row's table number.
+    """For each row D of the (g, p) bool table ``patterns``: the coalitions
+    of the distinct S ∩ D, and each coalition's index into them, built once
+    per distinct D and shared by the rows equal to it.
 
     Patterns go in groups whose columns U number at most log2 K. Each
     coalition's code is its bits on U as an integer, and S ∩ D is its code
@@ -172,18 +172,21 @@ def _gather_tables(coalitions, patterns):
             representative = np.empty(len(distinct), dtype=np.intp)
             representative[index] = np.arange(n_coalitions)
             tables.append((coalitions[representative], index))
-    return tables, pattern_of
+    return [tables[k] for k in pattern_of]
 
 
 def _unit_rows(x, units):
-    """The rows of ``units`` for one model call: each unit's background rows
-    with the variables set in each of its coalitions taken from ``x``,
-    coalition-major. Built here so the pieces are freed before the call's
-    predictions are summed, which keeps the peak at one call's rows."""
-    rows = [
-        np.where(take[:, None, :], x, sample).reshape(-1, len(x))
-        for _, sample, take, _, _ in units
-    ]
+    """The rows of ``units`` for one model call: each unit's background row
+    with the variables set in each of its coalitions taken from ``x``, each
+    cell picked bit for bit by a multiply (``np.where``'s branch per cell took
+    twice as long on coalition tables). Built here so the pieces are freed
+    before the call's predictions are summed: the peak is one call's rows."""
+    rows = []
+    for _, row, take, _, _ in units:
+        bits = row.view(np.int64)
+        picked = take * (x.view(np.int64) ^ bits)
+        picked ^= bits
+        rows.append(picked.view(np.float64))
     return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
@@ -196,16 +199,14 @@ def _coalition_values(explainer, x, background, coalitions=None):
     Background row b differs from ``x`` only on D(b) (compared bit for bit),
     so its row for coalition S depends only on S ∩ D(b). When 2^|D(b)| < K,
     by pigeonhole its K rows repeat: it is one unit, its distinct rows,
-    predicted once and gathered back to every coalition. Each run of
-    consecutive other rows is predicted for every coalition, coalition-major
-    as ``_stacked_means`` lays out its blocks, in pieces of as equal a number
-    of coalitions as ``_STACK_CELLS`` cells allow. Each model call takes as
-    many whole units as fit in that budget, and at least one. Each coalition
-    adds its rows to a sum from zero in background-row order, the ordered sum
-    ``_stacked_means`` takes, so for a row-wise model the values are
-    bit-identical to it. Memory is the (K, T) matrix, one call's rows, and a
-    (K, T) gather buffer only once a row with two or more distinct rows is
-    gathered.
+    predicted once and gathered back to every coalition. Any other row is
+    predicted for every coalition, in the fewest pieces of equal numbers of
+    whole coalitions that fit ``_STACK_CELLS`` cells, each piece a unit. Each
+    model call takes as many whole units as fit in that budget, and at least
+    one. Each coalition adds its rows to a sum from zero in background-row
+    order, the ordered sum ``_stacked_means`` takes, so for a row-wise model
+    the values are bit-identical to it. Memory is the (K, T) matrix, one
+    call's rows, and a (K, T) gather buffer once a row is gathered.
     """
     m, p = background.shape
     if coalitions is None:
@@ -215,28 +216,19 @@ def _coalition_values(explainer, x, background, coalitions=None):
     differs = background.view(np.int64) != x.view(np.int64)
     # |D(b)| < bit_length(K - 1) exactly when 2^|D(b)| < K
     gathered = differs.sum(axis=1) < (n_coalitions - 1).bit_length()
-    tables, pattern_of = _gather_tables(coalitions, differs[gathered])
-    pattern_of = iter(pattern_of)
-    units = []  # (rows predicted, background rows, coalitions taken, gather index, first coalition)
-    for is_gathered, group in itertools.groupby(range(m), gathered.__getitem__):
-        group = list(group)
+    tables = iter(_gather_tables(coalitions, differs[gathered]))
+    # equal pieces: a full piece then a short one made glibc trim and refault the
+    # heap top on every row, 11 500 page faults per exact p = 10 explanation, not 300
+    pieces = -(-n_coalitions // per_call)
+    bounds = [n_coalitions * k // pieces for k in range(pieces + 1)]
+    units = []  # (rows predicted, background row, coalitions taken, gather index, first coalition)
+    for row, is_gathered in zip(background, gathered):
         if is_gathered:
-            for b in group:
-                take, index = tables[next(pattern_of)]
-                units.append((len(take), background[b : b + 1], take, index, 0))
-            continue
-        start, size = group[0], len(group)
-        runs = -(-size // per_call)
-        for i in range(runs):
-            rows = background[start + size * i // runs : start + size * (i + 1) // runs]
-            # equal pieces: a full piece then a short one made glibc trim and
-            # refault the heap top on every row, 11 500 page faults per exact
-            # p = 10 explanation against 300
-            pieces = -(-n_coalitions // (per_call // len(rows)))
-            bounds = [n_coalitions * k // pieces for k in range(pieces + 1)]
+            take, index = next(tables)
+            units.append((len(take), row, take, index, 0))
+        else:
             units += [
-                ((hi - lo) * len(rows), rows, coalitions[lo:hi], None, lo)
-                for lo, hi in zip(bounds, bounds[1:])
+                (hi - lo, row, coalitions[lo:hi], None, lo) for lo, hi in zip(bounds, bounds[1:])
             ]
     total = np.zeros((n_coalitions, n_times))
     scratch = None
@@ -248,22 +240,11 @@ def _coalition_values(explainer, x, background, coalitions=None):
             stop += 1
         predicted = explainer.predict(_unit_rows(x, units[start:stop]), "survival")
         offset = 0
-        for size, sample, take, index, lo in units[start:stop]:
+        for size, _, _, index, lo in units[start:stop]:
             block = predicted[offset : offset + size]
             offset += size
-            if index is None and len(sample) == 1:
-                total[lo : lo + len(take)] += block
-            elif index is None:
-                # a grid has two points or more, so this reduce adds the run's
-                # rows one after another, not pairwise
-                run = block.reshape(len(take), len(sample), n_times)
-                np.add.reduce(
-                    np.concatenate([total[lo : lo + len(take), None], run], axis=1),
-                    axis=1,
-                    out=total[lo : lo + len(take)],
-                )
-            elif size == 1:
-                total += block  # one distinct row serves every coalition
+            if index is None:
+                total[lo : lo + size] += block
             else:
                 if scratch is None:
                     scratch = np.empty_like(total)
@@ -355,8 +336,8 @@ def _survshap_setup(explainer, n_background, method, n_permutations, seed):
             f"exact SurvSHAP enumerates 2^{p} coalitions, more than the 2^{EXACT_COALITION_MAX} "
             "it allows; use method 'sampling'"
         )
-    if method == "sampling" and n_permutations < 1:
-        raise InputError("n_permutations must be at least 1")
+    if method == "sampling":
+        _check_count("n_permutations", n_permutations)
     _seed_sequence(seed)
     return method, background_sample(explainer.background.features, n_background)
 
@@ -416,8 +397,7 @@ def predict_parts_survlime(
     exactly linear in the features.
     """
     x = _check_instance(explainer, x)
-    if n_neighbors < 2:
-        raise InputError("n_neighbors must be at least 2")
+    _check_count("n_neighbors", n_neighbors, 2)
     features = explainer.background.features
     scale = features.std(axis=0)
     rng = np.random.default_rng(_seed_sequence(seed))
@@ -502,7 +482,7 @@ def predict_profile(
     j = explainer.background.column_index(variable)
     if grid_values is None:
         column = explainer.background.features[:, j]
-        _check_grid_size(grid_size)
+        _check_count("grid_size", grid_size)
         grid_values = np.unique(np.append(_quantile_grid(column, grid_size), x[j]))
     else:
         grid_values = np.asarray(grid_values, dtype=float)

@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from survival_explain import InputError
-from survival_explain.artifacts import jsonify, write_artifact
+from survival_explain.artifacts import jsonify, read_artifact, write_artifact
 
 
 def elementwise_jsonify(value):
@@ -111,3 +112,21 @@ class TestWriteArtifact:
         with pytest.raises(ValueError, match="not JSON compliant"):
             write_artifact(tmp_path / "bad.json", value)
         assert not (tmp_path / "bad.json").exists()
+
+
+class TestReadArtifact:
+    def test_reads_back_what_was_written(self, tmp_path):
+        write_artifact(tmp_path / "a.json", {"curves": [{"x": [1, 2.5], "y": [None, 0.5]}]})
+        assert read_artifact(tmp_path / "a.json") == {"curves": [{"x": [1, 2.5], "y": [None, 0.5]}]}
+
+    def test_missing_file_refused(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(InputError, match=f"^cannot read {re.escape(str(path))}: No such file or directory$"):
+            read_artifact(path)
+
+    @pytest.mark.parametrize("text", ["", "{", "[1, 2,]", "not json"])
+    def test_invalid_json_refused(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))} is not valid JSON: "):
+            read_artifact(path)

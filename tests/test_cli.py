@@ -19,8 +19,10 @@ from survival_explain import (
     brier_score,
     cd_auc,
     concordance_index,
+    default_time_grid,
     explain,
     fit_cox,
+    fit_weibull_aft,
     model_parts,
     roc_at_time,
 )
@@ -29,6 +31,7 @@ from survival_explain.artifacts import TOOL_VERSION
 from survival_explain.cli import build_parser, main
 from survival_explain.ingest import ingest_csv
 from survival_explain.metrics import LOSS_NAMES
+from survival_explain.models import predict_survival_matrix
 
 from conftest import simulate_cohort, simulate_cox
 
@@ -261,6 +264,71 @@ class TestResultPayloads:
         assert len(params["times"]) == len(params["survival"])
         assert envelope["curves"]
 
+    @pytest.mark.parametrize("svg_flag", [(), ("--svg",)], ids=["json", "svg"])
+    def test_fit_reports_weibull_parameters_and_baseline_curve(
+        self, svg_flag, corpus_csv, tmp_path
+    ):
+        assert cli("fit", corpus_csv, tmp_path, "--model", "weibull_aft", *svg_flag) == 0
+        envelope = load_artifact(tmp_path, "fit")
+        data = ingest_csv(corpus_csv, time_column="time", event_column="event")
+        model = fit_weibull_aft(data)
+        assert envelope["result"]["model"] == "WeibullAftModel"
+        assert envelope["result"]["converged"] is True
+        assert envelope["result"]["parameters"] == {
+            "shape": model.shape,
+            "intercept": model.intercept,
+            "coefficients": model.coefficients.tolist(),
+            "feature_names": ["x0", "x1"],
+        }
+        grid = default_time_grid(data)
+        baseline = predict_survival_matrix(model, np.zeros((1, 2)), grid)[0]
+        (curve,) = envelope["curves"]
+        assert curve == {"label": "baseline survival", "x": grid.points.tolist(),
+                         "y": baseline.tolist()}
+        assert envelope["plot"] == {"x_label": "time", "y_label": "survival probability"}
+        if svg_flag:
+            svg_text = (tmp_path / "fit.svg").read_text(encoding="utf-8")
+            assert svg_text.count("<polyline") == 1
+        else:
+            assert not (tmp_path / "fit.svg").exists()
+
+    # one event gives no time grid, so the Weibull fit has no baseline curve
+    ONE_EVENT = "time,event,x\n2,1,0.5\n3,0,1.0\n4,0,0.2\n5,0,0.9\n"
+
+    def test_weibull_fit_on_one_event_has_no_curves(self, tmp_path):
+        csv = tmp_path / "one.csv"
+        csv.write_text(self.ONE_EVENT)
+        assert cli("fit", str(csv), tmp_path / "out", "--model", "weibull_aft") == 0
+        envelope = load_artifact(tmp_path / "out", "fit")
+        assert envelope["result"]["model"] == "WeibullAftModel"
+        assert "curves" not in envelope and "plot" not in envelope
+
+    def test_weibull_fit_svg_on_one_event_exits_2(self, tmp_path, capsys):
+        csv = tmp_path / "one.csv"
+        csv.write_text(self.ONE_EVENT)
+        out = tmp_path / "out"
+        assert cli("fit", str(csv), out, "--model", "weibull_aft", "--svg") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: command 'fit' produced no curve data") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,extra",
+        [("profile", ("--variable", "x0", "--grid-size", "5")),
+         ("ice", ("--row", "0", "--variable", "x1", "--grid-size", "5"))],
+        ids=["profile", "ice"],
+    )
+    def test_risk_profile_draws_one_series(self, command, extra, corpus_csv, tmp_path):
+        assert cli(command, corpus_csv, tmp_path, *extra, "--output-type", "risk", "--svg") == 0
+        envelope = load_artifact(tmp_path, command)
+        (series,) = envelope["curves"]
+        assert series["x"] == envelope["result"]["grid_values"]
+        values = envelope["result"]["values" if command == "profile" else "curves"]
+        assert series["y"] == values
+        assert envelope["plot"] == {"x_label": "variable value", "y_label": "risk"}
+        svg_text = (tmp_path / f"{command}.svg").read_text(encoding="utf-8")
+        assert svg_text.count("<polyline") == 1
+
     def test_predict_risk_has_no_curves(self, corpus_csv, tmp_path):
         cli("predict", corpus_csv, tmp_path, "--row", "1", "--output-type", "risk")
         envelope = load_artifact(tmp_path, "predict")
@@ -439,7 +507,7 @@ class TestErrorExits:
     ):
         assert cli(command, corpus_csv, tmp_path, *extra, "--grid-size", grid_size) == 2
         err = capsys.readouterr().err
-        assert err == f"error: grid size must be at least 1, got {grid_size}\n"
+        assert err == f"error: grid_size must be an integer of at least 1, got {grid_size}\n"
         assert not (tmp_path / f"{command}.json").exists()
 
     @pytest.mark.parametrize(
@@ -458,6 +526,30 @@ class TestErrorExits:
         assert cli(command, corpus_csv, out, *extra, "--seed", "-1") == 2
         assert capsys.readouterr().err == "error: seed must be a non-negative integer\n"
         assert not out.exists()
+
+    def test_survshap_global_max_rows_below_one_exits_2(self, corpus_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli("survshap-global", corpus_csv, out, "--max-rows", "0") == 2
+        assert capsys.readouterr().err == "error: --max-rows must be an integer of at least 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
+    @pytest.mark.parametrize("command", ["fit", "plot"])
+    def test_out_that_cannot_be_a_directory_exits_2(
+        self, command, sub, corpus_csv, tmp_path, capsys
+    ):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / sub if sub else afile
+        if command == "plot":
+            assert cli("performance", corpus_csv, tmp_path) == 0
+            code = main(["plot", "--artifact", str(tmp_path / "performance.json"), "--out", str(out)])
+        else:
+            code = cli("fit", corpus_csv, out)
+        assert code == 2
+        reason = "Not a directory" if sub else "File exists"
+        assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+        assert afile.read_text() == "kept\n"
 
     def test_repeated_time_column_exits_2(self, tmp_path, capsys):
         repeated = tmp_path / "repeated.csv"
@@ -657,6 +749,31 @@ class TestPlotCommand:
         err = capsys.readouterr().err
         assert "no curve data" in err
         assert "plottable commands" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text,problem",
+        [
+            ("[1, 2]", "no curve data"),
+            ('{"curves": 5}', "malformed curve data"),
+            ('{"curves": [{"x": [1, "a"], "y": [1, 2]}]}', "malformed curve data"),
+            ('{"curves": [5]}', "malformed curve data"),
+            ('{"curves": [{"x": [1, 2], "y": [1, 2]}], "plot": 3}', "malformed curve data"),
+            ('{"curves": [{"x": [1, 2], "y": [NaN, 2]}]}', "malformed curve data"),
+            ('{"curves": [{"x": [1, 2], "y": [1e400, 2]}]}', "malformed curve data"),
+            ('{"curves": [{"x": [1, 2], "y": [1%s, 2]}]}' % ("0" * 400), "malformed curve data"),
+        ],
+        ids=["list", "number-curves", "string-point", "number-series", "number-plot", "nan",
+             "overflowing-float", "overflowing-integer"],
+    )
+    def test_plot_json_that_is_not_an_artifact_exits_2(self, text, problem, tmp_path, capsys):
+        artifact = tmp_path / "odd.json"
+        artifact.write_text(text)
+        out = tmp_path / "plot-out"
+        assert main(["plot", "--artifact", str(artifact), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: artifact {artifact} has {problem}")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("command,extra", PLOTTABLE_CORPUS, ids=[c for c, _ in PLOTTABLE_CORPUS])

@@ -346,6 +346,19 @@ class TestPredict:
         with pytest.raises(InputError):
             cox_explainer.predict(np.ones((2, 5)), "survival")
 
+    def test_three_dimensional_matrix_rejected(self, cox_explainer):
+        with pytest.raises(
+            InputError, match=r"^feature matrix must be 1- or 2-dimensional, got shape \(2, 2, 2\)$"
+        ):
+            cox_explainer.predict(np.ones((2, 2, 2)), "survival")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_matrix_rejected(self, cox_explainer, cox_data, bad):
+        X = cox_data.features[:3].copy()
+        X[1, 1] = bad
+        with pytest.raises(InputError, match="^feature matrix contains non-finite values$"):
+            cox_explainer.predict(X, "survival")
+
     def test_unknown_output_type_rejected(self, cox_explainer, cox_data):
         with pytest.raises(InputError):
             cox_explainer.predict(cox_data.features[0], "hazard")

@@ -230,7 +230,7 @@ def test_profiles_reject_grid_size_below_one(cox_explainer, grid_size):
         lambda: predict_profile(cox_explainer, x, "x0", grid_size=grid_size),
     ]
     for call in calls:
-        with pytest.raises(InputError, match=f"grid size must be at least 1, got {grid_size}"):
+        with pytest.raises(InputError, match=f"^grid_size must be an integer of at least 1, got {grid_size}$"):
             call()
 
 

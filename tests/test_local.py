@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -250,18 +251,36 @@ class TestStackedBatches:
         predict_parts_survshap(explainer, data.features[0], method="exact")
         per_call = _STACK_CELLS // len(explainer.grid)
         assert max(model.call_rows) <= per_call
-        # background row 0 is x itself and needs one row; rows 1-99 differ
-        # from x on all ten variables and form one run, sent coalition-major:
-        # a piece is whole coalitions of all 99 rows, in the fewest pieces the
-        # budget allows, their sizes as equal as whole coalitions allow
-        pieces = math.ceil((1 << 10) / (per_call // 99))
-        assert model.calls == pieces
-        # x's own one-row block shares the first call with the first piece
-        first, *rest = model.call_rows
-        assert first % 99 == 1 and all(rows % 99 == 0 for rows in rest)
-        sizes = [first // 99] + [rows // 99 for rows in rest]
-        assert sum(sizes) == 1 << 10
+        # background row 0 is x itself and needs one row; each of rows 1-99
+        # differs from x on all ten variables and is cut alone into the fewest
+        # pieces of whole coalitions the budget allows, their sizes as equal
+        # as whole coalitions allow
+        pieces = math.ceil((1 << 10) / per_call)
+        sizes = [(1 << 10) * (k + 1) // pieces - (1 << 10) * k // pieces for k in range(pieces)]
         assert max(sizes) - min(sizes) == (0 if (1 << 10) % pieces == 0 else 1)
+        assert model.calls == 99 * pieces == 198
+        # x's own one-row unit shares the first call with row 1's first piece
+        assert model.call_rows == [1 + sizes[0]] + sizes[1:] + sizes * 98
+
+    def test_exact_survshap_packs_several_every_variable_rows_per_call(self):
+        # at p = 6 a row's 64 coalitions fit the budget many times over, so
+        # whole rows share a call, and x's own one-row unit joins the first
+        data = simulate_cox(n=100, beta=[0.5, -0.4, 0.3, 0.2, -0.1, 0.1], seed=21)
+        model = CountingBatchModel()
+        explainer = Explainer(model, data, default_time_grid(data))
+        model.calls = model.rows = 0
+        model.call_rows.clear()
+        x = data.features[0]
+        values = _coalition_values(explainer, x, data.features)
+        per_call = _STACK_CELLS // len(explainer.grid)
+        rows_per_call = per_call // 64
+        assert rows_per_call > 1
+        expected = [64 * rows_per_call] * (99 // rows_per_call)
+        if 99 % rows_per_call:
+            expected.append(64 * (99 % rows_per_call))
+        expected[0] += 1
+        assert model.call_rows == expected
+        assert np.array_equal(values, all_rows_values(explainer, x, data.features))
 
     def test_two_variable_profile_batches_its_grid(self, counted):
         _, explainer, model, rows_per_call = counted
@@ -286,6 +305,15 @@ def sampled_coalitions(p, n_permutations, seed):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     orders = [rng.permutation(p) for _ in range(n_permutations)]
     return {frozenset(order[:k].tolist()) for order in orders for k in range(p + 1)}
+
+
+def sampled_table(p, n_permutations, seed):
+    """The (K, p) bool table of the distinct prefix coalitions the sampler
+    draws, in the order it passes them to ``_coalition_values``."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    orders = np.array([rng.permutation(p) for _ in range(n_permutations)])
+    prefixes = np.argsort(orders, axis=1)[:, None, :] < np.arange(p + 1)[None, :, None]
+    return np.unique(prefixes.reshape(-1, p), axis=0)
 
 
 def weibull_row_model(x, grid):
@@ -472,6 +500,25 @@ class TestDistinctCoalitionRows:
                 patched.setattr(local_explain, "_coalition_values", all_rows_values)
                 reference = peak(x)
             assert measured <= 1.1 * reference
+
+    @pytest.mark.parametrize("p", [1, 3, 6, 10])
+    @pytest.mark.parametrize("method", ["exact", "sampling"])
+    def test_rows_equal_to_the_instance_bit_identical(self, method, p):
+        # a row equal to x has one distinct row, gathered to every coalition
+        # through the same index as any other gathered row
+        data = simulate_cohort(120, p, seed=p)
+        explainer = explain(fit_cox(data), data)
+        x = data.features[5]
+        coalitions = None if method == "exact" else sampled_table(p, 7, seed=p)
+        others = data.features[10:40]
+        for background in (
+            x[None, :],
+            np.repeat(x[None, :], 3, axis=0),
+            np.vstack([x, others[:12], x, others[12:], x]),
+        ):
+            values = _coalition_values(explainer, x, background, coalitions)
+            reference = all_rows_values(explainer, x, background, coalitions)
+            assert np.array_equal(values, reference)
 
     @pytest.mark.parametrize("p", [1, 7, 8, 9, 70])
     def test_distinct_rows_match_unique_along_rows(self, p):
@@ -722,7 +769,7 @@ SEEDED_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, np.random.SeedSequence(1)])
+@pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, True, np.random.SeedSequence(1)])
 @pytest.mark.parametrize("entry", sorted(SEEDED_ENTRIES))
 def test_bad_seed_rejected_before_any_prediction(entry, seed):
     data = simulate_cohort(30, 3, seed=2)
@@ -741,13 +788,13 @@ BAD_ARGUMENTS = {
     ),
     "model_survshap n_background": (
         lambda ex: model_survshap(ex, ex.background.features[:2], n_background=0),
-        "^n_background must be at least 1$",
+        "^n_background must be an integer of at least 1, got 0$",
     ),
     "model_survshap n_permutations": (
         lambda ex: model_survshap(
             ex, ex.background.features[:2], method="sampling", n_permutations=0
         ),
-        "^n_permutations must be at least 1$",
+        "^n_permutations must be an integer of at least 1, got 0$",
     ),
     "model_parts unknown variable": (
         lambda ex: model_parts(ex, n_permutations=3, variables=["x0", "nope"]),
@@ -788,6 +835,82 @@ def test_bad_argument_rejected_before_any_prediction(entry):
     with pytest.raises(InputError, match=message):
         call(explainer)
     assert model.calls == calls
+
+
+# (call with the count, the count's name, its least value) for each count argument
+COUNT_ARGUMENTS = {
+    "predict_parts_survshap n_background": (
+        lambda ex, n: predict_parts_survshap(ex, ex.background.features[0], n_background=n),
+        "n_background", 1,
+    ),
+    "predict_parts_survshap n_permutations": (
+        lambda ex, n: predict_parts_survshap(
+            ex, ex.background.features[0], method="sampling", n_permutations=n
+        ),
+        "n_permutations", 1,
+    ),
+    "model_survshap n_background": (
+        lambda ex, n: model_survshap(ex, ex.background.features[:2], n_background=n),
+        "n_background", 1,
+    ),
+    "model_survshap n_permutations": (
+        lambda ex, n: model_survshap(
+            ex, ex.background.features[:2], method="sampling", n_permutations=n
+        ),
+        "n_permutations", 1,
+    ),
+    "model_parts n_permutations": (
+        lambda ex, n: model_parts(ex, n_permutations=n), "n_permutations", 1,
+    ),
+    "model_profile pdp grid_size": (
+        lambda ex, n: model_profile(ex, "x0", grid_size=n), "grid_size", 1,
+    ),
+    "model_profile ale grid_size": (
+        lambda ex, n: model_profile(ex, "x0", method="ale", grid_size=n), "grid_size", 1,
+    ),
+    "model_profile n_background": (
+        lambda ex, n: model_profile(ex, "x0", n_background=n), "n_background", 1,
+    ),
+    "model_profile_2d grid_size": (
+        lambda ex, n: model_profile_2d(ex, ("x0", "x1"), grid_size=n), "grid_size", 1,
+    ),
+    "model_profile_2d n_background": (
+        lambda ex, n: model_profile_2d(ex, ("x0", "x1"), n_background=n), "n_background", 1,
+    ),
+    "predict_profile grid_size": (
+        lambda ex, n: predict_profile(ex, ex.background.features[0], "x0", grid_size=n),
+        "grid_size", 1,
+    ),
+    "predict_parts_survlime n_neighbors": (
+        lambda ex, n: predict_parts_survlime(ex, ex.background.features[0], n_neighbors=n),
+        "n_neighbors", 2,
+    ),
+    "background_sample cap": (
+        lambda ex, n: background_sample(ex.background.features, n), "n_background", 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("count", [2.0, 2.5, True, "3", 0], ids=["2.0", "2.5", "True", "'3'", "0"])
+@pytest.mark.parametrize("entry", sorted(COUNT_ARGUMENTS))
+def test_count_that_is_not_an_integer_at_least_its_minimum_is_refused(entry, count):
+    data = simulate_cohort(30, 3, seed=2)
+    model = CountingBatchModel()
+    explainer = Explainer(model, data, default_time_grid(data))
+    calls = model.calls
+    call, name, minimum = COUNT_ARGUMENTS[entry]
+    message = f"^{name} must be an integer of at least {minimum}, got {re.escape(repr(count))}$"
+    with pytest.raises(InputError, match=message):
+        call(explainer, count)
+    assert model.calls == calls
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ARGUMENTS))
+def test_numpy_integer_counts_accepted(entry):
+    data = simulate_cohort(30, 3, seed=2)
+    explainer = Explainer(CountingBatchModel(), data, default_time_grid(data))
+    call, _, _ = COUNT_ARGUMENTS[entry]
+    call(explainer, np.int64(3))
 
 
 def test_model_survshap_refuses_exact_above_the_cap_before_any_prediction():

@@ -11,9 +11,10 @@ or the sampler's distinct prefixes) in one engine that predicts each distinct
 coalition row once: the row for coalition S and background row b depends only
 on S ∩ D(b), where D(b) holds the variables on which b differs from the
 instance. A background row with 2^|D(b)| < K needs only its distinct rows
-(Σ_b 2^|D(b)| in all for exact enumeration); any other row is predicted for
-every coalition. Either way the cost is the rows predicted, not the number of
-calls.
+(Σ_b 2^|D(b)| in all for exact enumeration), found by reading each
+coalition's bits on D(b) as an integer key into a lookup of 2^|D(b)|
+entries; any other row is predicted for every coalition. Either way the cost
+is the rows predicted, not the number of calls.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from .global_explain import (
 # exact Shapley enumerates 2^p coalitions; beyond this the sampler takes over
 EXACT_COALITION_LIMIT = 10
 # the most variables an explicit method="exact" accepts: at 2^16 one explanation peaks
-# at 79 MiB (tracemalloc, 47-point grid): the 23.5 MiB (2^p, T) value matrix, a gather
-# buffer as large and a 2^p-entry index per distinct D(b); each doubles per variable
+# at 78.8 MiB (tracemalloc, 47-point grid): the 23.5 MiB (2^p, T) value matrix, a gather
+# buffer as large and a 2^p-entry gather index kept per distinct D(b) (its lookup has
+# only 2^|D(b)| entries); each doubles per variable
 EXACT_COALITION_MAX = 16
 SURVLIME_RIDGE = 1e-8
 
@@ -139,39 +141,27 @@ def _gather_tables(coalitions, patterns):
     of the distinct S ∩ D, and each coalition's index into them, built once
     per distinct D and shared by the rows equal to it.
 
-    Patterns go in groups whose columns U number at most log2 K. Each
-    coalition's code is its bits on U as an integer, and S ∩ D is its code
-    masked by D's bits, so a table of the 2^|U| <= K possible keys finds the
-    distinct ones without a sort. Only rows with 2^|D| < K are gathered, so
-    each pattern fits a group alone; exact SurvSHAP's fit one group.
+    A coalition's key is its bits on D as an integer, so the distinct keys
+    are the distinct S ∩ D, found without a sort by a lookup of the 2^|D|
+    possible keys; only rows with 2^|D| < K are gathered, so it has fewer
+    than K entries. The index kept has K entries per distinct D. Each
+    distinct key's coalition holds its bits on D and no variable off D,
+    where the background row equals x anyway.
     """
-    n_coalitions, p = coalitions.shape
     first, pattern_of = _distinct_rows(patterns)
-    width = n_coalitions.bit_length() - 1
-    groups = []  # (union of the columns, its patterns)
-    for pattern in patterns[first]:
-        if groups and np.count_nonzero(groups[-1][0] | pattern) <= width:
-            np.logical_or(groups[-1][0], pattern, out=groups[-1][0])
-            groups[-1][1].append(pattern)
-        else:
-            groups.append((pattern.copy(), [pattern]))
     tables = []
-    for union, members in groups:
-        columns = np.flatnonzero(union)
-        # exact in floating point: every code is below 2^|U| <= K
-        weights = 2.0 ** np.arange(len(columns))
-        codes = (coalitions[:, columns].astype(float) @ weights).astype(np.intp)
-        for pattern in members:
-            keys = codes & int(pattern[columns] @ weights)
-            lookup = np.zeros(1 << len(columns), dtype=np.intp)
-            lookup[keys] = 1
-            distinct = np.flatnonzero(lookup)
-            lookup[distinct] = np.arange(len(distinct))
-            index = lookup[keys]
-            # any coalition with the key will do: off D the row equals x
-            representative = np.empty(len(distinct), dtype=np.intp)
-            representative[index] = np.arange(n_coalitions)
-            tables.append((coalitions[representative], index))
+    for pattern in patterns[first]:
+        columns = np.flatnonzero(pattern)
+        shifts = np.arange(len(columns))
+        # exact in floating point: every key is below 2^|D| < K
+        keys = (coalitions[:, columns].astype(float) @ 2.0**shifts).astype(np.intp)
+        lookup = np.zeros(1 << len(columns), dtype=np.intp)
+        lookup[keys] = 1
+        distinct = np.flatnonzero(lookup)
+        lookup[distinct] = np.arange(len(distinct))
+        take = np.zeros((len(distinct), len(pattern)), dtype=bool)
+        take[:, columns] = (distinct[:, None] >> shifts) & 1
+        tables.append((take, lookup[keys]))
     return [tables[k] for k in pattern_of]
 
 
@@ -258,24 +248,28 @@ def _exact_shapley(explainer, x, background):
     """Exact phi, baseline and no standard error, from all 2^p coalitions.
 
     Row ``mask`` of the value matrix is the coalition whose bit j says
-    whether variable j comes from ``x``. Each phi[j] weighs the differences
-    v(S with j) - v(S), so a variable the model ignores gets exact zeros.
+    whether variable j comes from ``x``. Viewed as a cube with one axis of
+    length 2 per variable, bit j is axis p - 1 - j, and fixing that axis to
+    0 or 1 leaves the coalitions without j, or with it added, in mask order.
+    Each phi[j] weighs the differences v(S with j) - v(S) by the size of S,
+    so a variable the model ignores gets exact zeros.
     """
     p = len(x)
-    masks = np.arange(1 << p)
     values = _coalition_values(explainer, x, background)
-    sizes = np.bitwise_count(masks)
-    weights = np.array(
+    n_times = values.shape[1]
+    cube = values.reshape((2,) * p + (n_times,))
+    by_size = np.array(
         [
             math.factorial(size) * math.factorial(p - size - 1) / math.factorial(p)
             for size in range(p)
         ]
     )
-    phi = np.empty((p, values.shape[1]))
+    weights = by_size[np.bitwise_count(np.arange(1 << (p - 1))), None]
+    phi = np.empty((p, n_times))
     for j in range(p):
-        without = masks[(masks >> j) & 1 == 0]
-        gains = values[without | (1 << j)] - values[without]
-        phi[j] = (weights[sizes[without], None] * gains).sum(axis=0)
+        axes = (slice(None),) * (p - 1 - j)
+        gains = (cube[axes + (1,)] - cube[axes + (0,)]).reshape(-1, n_times)
+        phi[j] = (weights * gains).sum(axis=0)
     # a copy, so a kept result does not hold the whole value matrix alive
     return phi, values[0].copy(), None
 

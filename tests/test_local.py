@@ -34,6 +34,7 @@ from survival_explain.local_explain import (
     EXACT_COALITION_MAX,
     _coalition_values,
     _distinct_rows,
+    _exact_shapley,
 )
 
 from conftest import make_dataset, simulate_cohort, simulate_cox
@@ -70,6 +71,26 @@ def brute_force_shapley(explainer, x, background):
     return phi
 
 
+def mask_loop_shapley(values):
+    """Exact phi from a (2^p, T) value matrix in mask order, one gather of
+    the coalitions without variable j, and of the same with j added, per j."""
+    p = len(values).bit_length() - 1
+    masks = np.arange(1 << p)
+    sizes = np.bitwise_count(masks)
+    weights = np.array(
+        [
+            math.factorial(size) * math.factorial(p - size - 1) / math.factorial(p)
+            for size in range(p)
+        ]
+    )
+    phi = np.empty((p, values.shape[1]))
+    for j in range(p):
+        without = masks[(masks >> j) & 1 == 0]
+        gains = values[without | (1 << j)] - values[without]
+        phi[j] = (weights[sizes[without], None] * gains).sum(axis=0)
+    return phi
+
+
 class TestSurvShap:
     def test_single_variable_gets_the_whole_gap(self):
         data = simulate_cox(n=25, beta=[1.0], seed=3)
@@ -101,6 +122,16 @@ class TestSurvShap:
         background = background_sample(data.features, 100)
         oracle = brute_force_shapley(explainer, x, background)
         assert np.max(np.abs(result.phi - oracle)) < 1e-12
+
+    @pytest.mark.parametrize("n_times", [1, 33])
+    @pytest.mark.parametrize("p", [1, 2, 3, 6, 10, 12])
+    def test_exact_combine_bit_identical_to_the_mask_loop(self, p, n_times, monkeypatch):
+        values = np.random.default_rng(p * n_times).random((1 << p, n_times))
+        monkeypatch.setattr(local_explain, "_coalition_values", lambda *arguments: values)
+        phi, baseline, standard_error = _exact_shapley(None, np.zeros(p), None)
+        assert np.array_equal(phi, mask_loop_shapley(values))
+        assert np.array_equal(baseline, values[0])
+        assert standard_error is None
 
     def test_efficiency_holds_for_both_methods(self):
         data = simulate_cox(n=40, beta=[1.0, -0.8, 0.5], seed=17)
@@ -449,6 +480,47 @@ class TestDistinctCoalitionRows:
                 assert np.array_equal(result.phi, reference.phi)
                 assert np.array_equal(result.baseline, reference.baseline)
                 assert np.array_equal(result.standard_error, reference.standard_error)
+
+    @pytest.mark.parametrize("model", ["cox", "per_row_callable"])
+    def test_sampler_gathers_patterns_beyond_sixty_two_columns(self, model, monkeypatch):
+        # a mostly-binary background: half its rows differ from x in 2 to 5
+        # columns, one of them past column 62, and are gathered; the rest
+        # differ in 30 columns and are predicted for every coalition
+        p, n_permutations, seed = 70, 3, 70
+        rng = np.random.default_rng(seed)
+        x = (rng.random(p) < 0.5).astype(float)
+        features = np.repeat(x[None, :], 120, axis=0)
+        for i, row in enumerate(features):
+            if i % 2:
+                flipped = np.append(rng.choice(62, 1 + i // 2 % 4, replace=False), 62 + i % 8)
+            else:
+                flipped = rng.choice(p, 30, replace=False)
+            row[flipped] = 1.0 - row[flipped]
+        data = simulate_cohort(120, p, seed=seed).with_features(features)
+        if model == "cox":
+            black_box = CoxModel(
+                beta=np.linspace(-0.3, 0.3, p),
+                baseline_chf=nelson_aalen(data),
+                feature_means=features.mean(axis=0),
+            )
+        else:
+            black_box = weibull_row_model
+        explainer = explain(black_box, data)
+        background = background_sample(features, 100)
+        differs = background != x
+        n_coalitions = len(sampled_table(p, n_permutations, seed))
+        gathered = differs.sum(axis=1) < (n_coalitions - 1).bit_length()
+        past = gathered & differs[:, 62:].any(axis=1) & (differs.sum(axis=1) >= 2)
+        assert 0 < past.sum() < len(background)
+        options = dict(method="sampling", n_permutations=n_permutations, seed=seed)
+        result = predict_parts_survshap(explainer, x, **options)
+        with monkeypatch.context() as patched:
+            patched.setattr(local_explain, "_coalition_values", all_rows_values)
+            reference = predict_parts_survshap(explainer, x, **options)
+        assert np.any(result.phi[62:] != 0.0)
+        assert np.array_equal(result.phi, reference.phi)
+        assert np.array_equal(result.baseline, reference.baseline)
+        assert np.array_equal(result.standard_error, reference.standard_error)
 
     def test_sampler_predicts_each_distinct_row_once(self):
         # p = 6 with three binary columns: rows close to x are gathered, rows

@@ -44,7 +44,9 @@ def jsonify(value):
     raise InputError(f"cannot serialize value of type {type(value).__name__}")
 
 
-def build_envelope(command: str, config: dict, result: dict, grid=None, curves=None) -> dict:
+def build_envelope(command: str, config: dict, result: dict, grid=None, curves=None,
+                   plot=None) -> dict:
+    """The JSON-ready artifact; ``plot``, the curves' axis labels, goes in only beside them."""
     envelope = {
         "tool_version": TOOL_VERSION,
         "command": command,
@@ -55,6 +57,8 @@ def build_envelope(command: str, config: dict, result: dict, grid=None, curves=N
         envelope["grid"] = grid
     if curves is not None:
         envelope["curves"] = curves
+        if plot is not None:
+            envelope["plot"] = plot
     return jsonify(envelope)
 
 

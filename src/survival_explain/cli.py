@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import TOOL_VERSION, build_envelope, jsonify, read_artifact, write_artifact
+from .artifacts import TOOL_VERSION, build_envelope, read_artifact, write_artifact
 from .errors import InputError, NumericError
 from .explainer import OUTPUT_TYPES, default_time_grid, explain
 from .global_explain import (_check_count, model_diagnostics, model_parts, model_profile,
@@ -38,14 +38,7 @@ from .metrics import (
     _concordance_scorer,
     _roc_scorer,
 )
-from .models import (
-    CoxModel,
-    KaplanMeierModel,
-    fit_cox,
-    fit_kaplan_meier,
-    fit_weibull_aft,
-    predict_survival_matrix,
-)
+from .models import MODEL_FITS, CoxModel, KaplanMeierModel, predict_survival_matrix
 from .svg import render_line_chart
 
 PLOTTABLE = (
@@ -70,7 +63,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     shared.add_argument("--data", required=True, help="CSV file with a header row")
     shared.add_argument("--time-col", required=True, help="name of the time column")
     shared.add_argument("--event-col", required=True, help="name of the 0/1 event column")
-    shared.add_argument("--model", choices=("km", "cox", "weibull_aft"), default="cox")
+    shared.add_argument("--model", choices=tuple(MODEL_FITS), default="cox")
     shared.add_argument("--out", default=".", help="output directory (default: current)")
     # the commands that draw at random
     seeded = argparse.ArgumentParser(add_help=False)
@@ -140,14 +133,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     return parser, commands
 
 
-def _fit_model(name, data):
-    if name == "km":
-        return fit_kaplan_meier(data)
-    if name == "cox":
-        return fit_cox(data)
-    return fit_weibull_aft(data)
-
-
 def _warn(message):
     """One ``warning:`` line on stderr for a result that is not to be trusted;
     the command still succeeds."""
@@ -181,6 +166,7 @@ def _profile_curves(grid, grid_values, values, output_type, label):
 
 
 def _fit_payload(model, data):
+    """The ``fit`` result of each model kind: its parameters, and its curve."""
     if isinstance(model, KaplanMeierModel):
         curve = model.curve
         parameters = {"times": curve.times, "survival": curve.values}
@@ -333,8 +319,8 @@ def _handle_diagnostics(args, explainer, data):
         "martingale": residuals.martingale,
         "deviance": residuals.deviance,
         "deviance_defined": residuals.deviance_defined,
-        "times": residuals.observed_times,
-        "events": residuals.events,
+        "times": explainer.background.times,
+        "events": explainer.background.events,
     }
     return result, None, None
 
@@ -456,12 +442,15 @@ def _svg_document(envelope, source: str) -> str:
         raise InputError(f"{source} no curve data; plottable commands: {PLOTTABLE}")
     meta = envelope.get("plot") or {}
     series = curves if isinstance(curves, list) else [None]
-    columns = [s.get(axis, []) if isinstance(s, dict) else None for s in series for axis in "xy"]
-    if not isinstance(meta, dict) or not all(isinstance(column, list) and all(
-            x is None or isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
-            for x in column) for column in columns):
+    pairs = [(s.get("x", []), s.get("y", [])) if isinstance(s, dict) else (None, None)
+             for s in series]
+    # type, not isinstance: JSON true and false load as bool, an int subclass
+    if not isinstance(meta, dict) or not all(
+            isinstance(xs, list) and isinstance(ys, list) and len(xs) == len(ys) and all(
+                v is None or type(v) in (int, float) and abs(v) <= sys.float_info.max
+                for v in xs + ys) for xs, ys in pairs):
         raise InputError(f"{source} malformed curve data: series need x and y lists of finite "
-                         "numbers, and the plot labels an object")
+                         "numbers of equal length, and the plot labels an object")
     return render_line_chart(
         curves,
         title=envelope.get("command", ""),
@@ -492,7 +481,7 @@ def run(args) -> None:
         return
 
     data = ingest_csv(args.data, args.time_col, args.event_col)
-    model = _fit_model(args.model, data)
+    model = MODEL_FITS[args.model](data)
     if not getattr(model, "converged", True):
         _warn(f"the {args.model} fit did not converge, so its estimates and every result "
               "drawn from them are not to be trusted")
@@ -504,9 +493,8 @@ def run(args) -> None:
         grid = explainer.grid.points
         result, curves, meta = _HANDLERS[args.command](args, explainer, data)
 
-    envelope = build_envelope(args.command, _config_echo(args), result, grid=grid, curves=curves)
-    if curves is not None and meta is not None:
-        envelope["plot"] = jsonify(meta)
+    envelope = build_envelope(args.command, _config_echo(args), result, grid=grid, curves=curves,
+                              plot=meta)
     # render first, so a refused --svg leaves no artifact behind
     document = None
     if getattr(args, "svg", False):

@@ -151,7 +151,7 @@ class StepCurve:
         if np.any(np.diff(self.times) <= 0):
             raise InputError("curve times must be strictly increasing")
         if not np.all(np.isfinite(self.values)):
-            raise InputError(f"{self.kind} prediction contains non-finite values")
+            raise InputError("curve values must be finite")
         if self.kind not in CURVE_KINDS:
             raise InputError(f"unknown curve kind {self.kind!r}; expected one of {CURVE_KINDS}")
         if self.kind == "survival":

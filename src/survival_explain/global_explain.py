@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TimeGrid
 from .errors import InputError
 from .explainer import Explainer, _normalize_output_type, _quantile_grid
 from .metrics import _prepared_loss
@@ -63,12 +62,11 @@ class ProfileSurface:
 
     ``values`` is indexed (grid point[, second grid point], time); profiles
     with ``output_type == "risk"`` drop the trailing time axis because risk
-    is a scalar per prediction. ``times`` is carried either way.
+    is a scalar per prediction; the time axis is the explainer's grid.
     """
 
     variables: tuple[str, ...]
     grid_values: tuple[np.ndarray, ...]
-    times: TimeGrid
     values: np.ndarray
     method: str
     output_type: str
@@ -86,8 +84,6 @@ class ResidualSet:
     martingale: np.ndarray
     deviance: np.ndarray
     deviance_defined: np.ndarray
-    observed_times: np.ndarray
-    events: np.ndarray
 
 
 def _check_count(name, value, minimum=1) -> None:
@@ -238,7 +234,7 @@ def model_profile(
         grid_values = _quantile_grid(column, grid_size)
         take = np.arange(sample.shape[1]) == j
         values = _stacked_means(explainer, sample, take, grid_values[:, None], output_type)
-        return ProfileSurface((variable,), (grid_values,), explainer.grid, values, "pdp", output_type)
+        return ProfileSurface((variable,), (grid_values,), values, "pdp", output_type)
 
     edges = _quantile_grid(column, grid_size + 1)
     if len(edges) < 2:
@@ -260,7 +256,7 @@ def model_profile(
     ]
     accumulated = np.concatenate([zero[None, ...], np.cumsum(effects, axis=0)])
     accumulated = accumulated - accumulated.mean(axis=0, keepdims=True)
-    return ProfileSurface((variable,), (edges,), explainer.grid, accumulated, "ale", output_type)
+    return ProfileSurface((variable,), (edges,), accumulated, "ale", output_type)
 
 
 def model_profile_2d(
@@ -292,9 +288,7 @@ def model_profile_2d(
     pinned[:, :, j2] = grid2[None, :]
     means = _stacked_means(explainer, sample, take, pinned.reshape(-1, p), output_type)
     values = means.reshape((len(grid1), len(grid2)) + means.shape[1:])
-    return ProfileSurface(
-        (first, second), (grid1, grid2), explainer.grid, values, "pdp", output_type
-    )
+    return ProfileSurface((first, second), (grid1, grid2), values, "pdp", output_type)
 
 
 def model_diagnostics(explainer: Explainer) -> ResidualSet:
@@ -328,6 +322,4 @@ def model_diagnostics(explainer: Explainer) -> ResidualSet:
         martingale=martingale,
         deviance=deviance,
         deviance_defined=defined,
-        observed_times=data.times.copy(),
-        events=data.events.copy(),
     )

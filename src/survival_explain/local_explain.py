@@ -60,7 +60,6 @@ class SurvShapResult:
     single permutation and for exact enumeration.
     """
 
-    times: TimeGrid
     phi: np.ndarray
     baseline: np.ndarray
     aggregate: np.ndarray
@@ -100,7 +99,6 @@ class IceProfile:
 
     variable: str
     grid_values: np.ndarray
-    times: TimeGrid
     curves: np.ndarray
     observed_value: float
     output_type: str
@@ -347,7 +345,6 @@ def _survshap(explainer, x, background, method, n_permutations, seed_sequence, s
         )
         n_samples = n_permutations
     return SurvShapResult(
-        times=explainer.grid,
         phi=phi,
         baseline=baseline,
         aggregate=_span_normalized_integral(np.abs(phi), explainer.grid),
@@ -494,7 +491,6 @@ def predict_profile(
     return IceProfile(
         variable=variable,
         grid_values=grid_values,
-        times=explainer.grid,
         curves=curves,
         observed_value=float(x[j]),
         output_type=output_type,

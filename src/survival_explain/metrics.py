@@ -24,14 +24,13 @@ LOSS_NAMES = ("brier_integrated", "brier_curve", "cd_auc_integrated", "one_minus
 
 @dataclass
 class MetricCurve:
-    """A scalar measure evaluated over a time grid.
+    """A scalar measure evaluated over the explainer's time grid.
 
     ``values`` holds NaN wherever ``defined`` is False; ``integrated`` is the
     trapezoid average over the defined stretch of the grid (None when fewer
     than two points are defined).
     """
 
-    grid: TimeGrid
     values: np.ndarray
     metric_name: str
     integrated: float | None
@@ -173,7 +172,7 @@ def _brier_scorer(grid: TimeGrid, data: SurvivalDataset):
         values = np.full(len(grid), np.nan)
         values[defined] = contributions.sum(axis=0)[defined] / n_effective[defined]
         integrated = integrated_mean(grid.points, values, defined)
-        return MetricCurve(grid, values, "brier_score", integrated, defined.copy())
+        return MetricCurve(values, "brier_score", integrated, defined.copy())
 
     return score
 
@@ -225,7 +224,7 @@ def _cd_auc_scorer(grid: TimeGrid, data: SurvivalDataset):
             case_score = (below + 0.5 * tied) / n_controls
             values[k] = (w_cases * case_score).sum() / weight
         integrated = integrated_mean(grid.points, values, defined)
-        return MetricCurve(grid, values, "cd_auc", integrated, defined.copy())
+        return MetricCurve(values, "cd_auc", integrated, defined.copy())
 
     return score
 

@@ -265,6 +265,10 @@ def fit_weibull_aft(data: SurvivalDataset) -> WeibullAftModel:
     )
 
 
+#: Each built-in model's name, as ``--model`` takes it, and its fit.
+MODEL_FITS = {"km": fit_kaplan_meier, "cox": fit_cox, "weibull_aft": fit_weibull_aft}
+
+
 # ---------------------------------------------------------------------------
 # Prediction
 # ---------------------------------------------------------------------------

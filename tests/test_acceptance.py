@@ -194,7 +194,7 @@ def test_criterion_3_metric_oracles():
         ex = explain(level_model, eight)
         risk = ex.predict(eight.features, "risk")
         auc = cd_auc(ex, eight)
-        for k, t in enumerate(auc.grid.points):
+        for k, t in enumerate(ex.grid.points):
             cases = [i for i in range(8) if eight.times[i] <= t and eight.events[i] == 1]
             controls = [j for j in range(8) if eight.times[j] > t]
             if not cases or not controls:

@@ -762,9 +762,11 @@ class TestPlotCommand:
             ('{"curves": [{"x": [1, 2], "y": [NaN, 2]}]}', "malformed curve data"),
             ('{"curves": [{"x": [1, 2], "y": [1e400, 2]}]}', "malformed curve data"),
             ('{"curves": [{"x": [1, 2], "y": [1%s, 2]}]}' % ("0" * 400), "malformed curve data"),
+            ('{"curves": [{"label": "a", "x": [1, 2], "y": [1]}]}', "malformed curve data"),
+            ('{"curves": [{"x": [true, false], "y": [1, 2]}]}', "malformed curve data"),
         ],
         ids=["list", "number-curves", "string-point", "number-series", "number-plot", "nan",
-             "overflowing-float", "overflowing-integer"],
+             "overflowing-float", "overflowing-integer", "mismatched-lengths", "boolean-point"],
     )
     def test_plot_json_that_is_not_an_artifact_exits_2(self, text, problem, tmp_path, capsys):
         artifact = tmp_path / "odd.json"

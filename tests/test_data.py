@@ -7,7 +7,29 @@ from survival_explain import InputError, StepCurve, SurvivalDataset, TimeGrid
 from conftest import make_dataset
 
 
+# (times, events, features, names) beside the exact refusal, one per check
+BAD_DATASETS = {
+    "empty": (([], [], np.ones((0, 0)), []), "dataset must contain at least one observation"),
+    "non-finite time": (([1.0, np.nan], [1, 0], np.ones((2, 0)), []), "times must be finite"),
+    "short events": (([1.0, 2.0], [1], np.ones((2, 0)), []), "events has length 1, expected 2"),
+    "extra feature row": (
+        ([1.0, 2.0], [1, 0], np.ones((3, 1)), ["a"]), "features has 3 rows, expected 2"
+    ),
+    "non-finite feature": (
+        ([1.0, 2.0], [1, 0], [[1.0], [np.inf]], ["a"]), "features must be finite"
+    ),
+    "empty name": (([1.0, 2.0], [1, 0], np.ones((2, 1)), [""]), "feature names must be nonempty"),
+}
+
+
 class TestSurvivalDataset:
+    @pytest.mark.parametrize("case", sorted(BAD_DATASETS))
+    def test_refusal_names_its_check(self, case):
+        fields, message = BAD_DATASETS[case]
+        with pytest.raises(InputError) as raised:
+            SurvivalDataset(*fields)
+        assert str(raised.value) == message
+
     def test_valid_construction(self):
         data = make_dataset([1, 2, 3], [1, 0, 1], [[0.5], [1.0], [1.5]], ["age"])
         assert data.n_observations == 3
@@ -65,13 +87,41 @@ class TestTimeGrid:
         with pytest.raises(InputError):
             TimeGrid(points=np.array([1.0, 1.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_requires_finite_points(self, bad):
+        with pytest.raises(InputError) as raised:
+            TimeGrid(points=np.array([1.0, bad]))
+        assert str(raised.value) == "grid points must be finite"
+
     def test_span(self):
         grid = TimeGrid(points=np.array([1.0, 2.0, 5.0]))
         assert grid.span == 4.0
         assert len(grid) == 3
 
 
+# (times, values, kind) beside the exact refusal, one per check
+BAD_CURVES = {
+    "empty": (([], [], "survival"), "a step curve needs at least one point"),
+    "short values": (([1.0, 2.0], [0.5], "survival"), "curve has 1 values for 2 times"),
+    "negative time": (([-1.0], [0.5], "survival"), "curve times must be finite and nonnegative"),
+    "non-finite time": (([np.inf], [0.5], "chf"), "curve times must be finite and nonnegative"),
+    "falling times": (([2.0, 1.0], [0.5, 0.4], "survival"), "curve times must be strictly increasing"),
+    "non-finite value": (([1.0, 2.0], [0.5, np.nan], "survival"), "curve values must be finite"),
+    "unknown kind": (
+        ([1.0], [0.5], "hazard"), "unknown curve kind 'hazard'; expected one of ('survival', 'chf')"
+    ),
+    "negative chf": (([1.0, 2.0], [-0.5, 0.5], "chf"), "chf values must be nonnegative"),
+}
+
+
 class TestStepCurve:
+    @pytest.mark.parametrize("case", sorted(BAD_CURVES))
+    def test_refusal_names_its_check(self, case):
+        fields, message = BAD_CURVES[case]
+        with pytest.raises(InputError) as raised:
+            StepCurve(*fields)
+        assert str(raised.value) == message
+
     def test_survival_range_validated(self):
         with pytest.raises(InputError, match="out of"):
             StepCurve(times=np.array([1.0]), values=np.array([1.2]), kind="survival")

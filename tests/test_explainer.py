@@ -230,6 +230,19 @@ class TestOutputCheckedOnEveryCall:
                 grid=default_time_grid(cox_data),
             )
 
+    def test_batch_callable_of_one_extra_row_rejected_at_construction(self, cox_data):
+        grid = default_time_grid(cox_data)
+        T = len(grid)
+        with pytest.raises(InputError) as raised:
+            Explainer(
+                model=lambda X, g: np.exp(-np.outer(np.ones(len(X) + 1), g.points) / 10.0),
+                background=cox_data,
+                grid=grid,
+            )
+        assert str(raised.value) == (
+            f"prediction shape (2, {T}) does not match 1 rows by grid length {T}"
+        )
+
     @pytest.mark.parametrize("kind", ["strings", "objects", "object"])
     def test_batch_callable_of_non_numeric_output_rejected_at_construction(self, cox_data, kind):
         with pytest.raises(InputError, match="^prediction must be numeric$"):
@@ -351,6 +364,12 @@ class TestPredict:
             InputError, match=r"^feature matrix must be 1- or 2-dimensional, got shape \(2, 2, 2\)$"
         ):
             cox_explainer.predict(np.ones((2, 2, 2)), "survival")
+
+    def test_one_dimensional_matrix_rejected_by_the_model(self, cox_explainer, cox_data):
+        p = cox_data.n_features
+        with pytest.raises(InputError) as raised:
+            cox_explainer.survival_matrix(np.zeros(p))
+        assert str(raised.value) == f"feature matrix must be 2-dimensional, got shape ({p},)"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_matrix_rejected(self, cox_explainer, cox_data, bad):

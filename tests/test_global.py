@@ -326,7 +326,7 @@ class TestModelDiagnostics:
         # product-limit estimate over the residuals, written out longhand
         order = np.argsort(res.cox_snell, kind="stable")
         r_sorted = res.cox_snell[order]
-        e_sorted = res.events[order]
+        e_sorted = data.events[order]
         surv = 1.0
         worst = 0.0
         for r in np.unique(r_sorted[e_sorted == 1]):

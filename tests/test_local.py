@@ -868,6 +868,14 @@ BAD_ARGUMENTS = {
         ),
         "^n_permutations must be an integer of at least 1, got 0$",
     ),
+    "model_survshap no rows": (
+        lambda ex: model_survshap(ex, np.empty((0, 3))),
+        "^X must be a nonempty instance matrix$",
+    ),
+    "model_survshap three-dimensional X": (
+        lambda ex: model_survshap(ex, np.ones((2, 3, 1))),
+        "^X must be a nonempty instance matrix$",
+    ),
     "model_parts unknown variable": (
         lambda ex: model_parts(ex, n_permutations=3, variables=["x0", "nope"]),
         "^unknown variable 'nope'",

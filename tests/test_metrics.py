@@ -15,6 +15,7 @@ from survival_explain import (
     concordance_index,
     explain,
     integrated_mean,
+    model_parts,
     roc_at_time,
 )
 
@@ -64,14 +65,14 @@ class TestBrierScore:
         explainer = explain(perfect_step, data)
         curve = brier_score(explainer, data)
         assert curve.metric_name == "brier_score"
-        assert np.array_equal(curve.values, np.zeros(len(curve.grid)))
+        assert np.array_equal(curve.values, np.zeros(len(explainer.grid)))
         assert curve.integrated == 0.0
 
     def test_constant_half_scores_quarter(self):
         data = make_dataset([1.0, 2.0, 3.0], [1, 1, 1], [[0.5], [0.5], [0.5]], ["s"])
         explainer = explain(survival_from_feature, data)
         curve = brier_score(explainer, data)
-        assert np.array_equal(curve.values, np.full(len(curve.grid), 0.25))
+        assert np.array_equal(curve.values, np.full(len(explainer.grid), 0.25))
         assert curve.integrated == 0.25
 
     def test_five_row_censored_fixture_matches_hand_terms(self):
@@ -210,7 +211,7 @@ class TestCdAuc:
         risk = explainer.predict(data.features, "risk")
         curve = cd_auc(explainer, data)
 
-        for k, t in enumerate(curve.grid.points):
+        for k, t in enumerate(explainer.grid.points):
             cases = [i for i in range(6) if data.times[i] <= t and data.events[i] == 1]
             controls = [j for j in range(6) if data.times[j] > t]
             if not cases or not controls:
@@ -398,6 +399,13 @@ class TestNamedLoss:
         )
         explainer = explain(survival_from_feature, data)
         assert abs(named_loss("cd_auc_integrated", explainer, data) - 0.5) < 1e-15
+
+    def test_cd_auc_integrated_undefined_before_every_event(self, six_row):
+        data, _ = six_row
+        explainer = explain(survival_from_feature, data, grid=[1e-6, 2e-6])
+        with pytest.raises(NumericError) as raised:
+            model_parts(explainer, loss="cd_auc_integrated")
+        assert str(raised.value) == "integrated cumulative/dynamic AUC undefined on this data"
 
     def test_score_direction_complements(self, six_row):
         data, explainer = six_row

@@ -55,3 +55,9 @@ def test_escaped_text_has_no_raw_markup():
 def test_no_plottable_points_is_an_input_error():
     with pytest.raises(InputError, match="no plottable points"):
         render_line_chart([{"label": "empty", "x": [1.0], "y": [None]}])
+
+
+def test_mismatched_series_lengths_are_an_input_error():
+    with pytest.raises(InputError) as raised:
+        render_line_chart([{"label": "a", "x": [1.0, 2.0], "y": [0.5]}])
+    assert str(raised.value) == "series 'a' has mismatched x/y lengths"

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .explainer import Explainer, _normalize_output_type, _quantile_grid
+from .explainer import _STACK_CELLS, Explainer, _normalize_output_type, _quantile_grid
 from .metrics import _prepared_loss
 
 # Profile background subsampling uses its own fixed seed: the sample is part
@@ -24,13 +24,6 @@ PROFILE_SAMPLE_SEED = 42
 PDP_GRID_SIZE = 25
 ALE_BINS = 10
 PROFILE_BACKGROUND_CAP = 100
-
-# Rows x grid points per model call in the stacked drivers (PDP grid points
-# here, SurvSHAP coalition rows in local_explain): six 100-row blocks at the
-# 51-point default grid. Sized by peak memory: a call holds a few (rows, T) float arrays, and
-# twice this budget raised the explanation benchmark's peak resident memory
-# by 2 %, four times by 6 %, where this one adds 0.4 %.
-_STACK_CELLS = 1 << 15
 
 
 @dataclass

@@ -27,10 +27,15 @@ import numpy as np
 from .data import TimeGrid
 from .errors import InputError, NumericError
 from .estimators import nelson_aalen
-from .explainer import SURVIVAL_FLOOR, Explainer, _normalize_output_type, _quantile_grid
+from .explainer import (
+    _STACK_CELLS,
+    SURVIVAL_FLOOR,
+    Explainer,
+    _normalize_output_type,
+    _quantile_grid,
+)
 from .global_explain import (
     PROFILE_BACKGROUND_CAP,
-    _STACK_CELLS,
     _check_count,
     _replicate_standard_error,
     _seed_sequence,

@@ -17,7 +17,7 @@ import numpy as np
 from .data import SurvivalDataset, TimeGrid
 from .errors import InputError, NumericError
 from .estimators import censoring_km
-from .explainer import Explainer
+from .explainer import _STACK_CELLS, Explainer
 
 LOSS_NAMES = ("brier_integrated", "brier_curve", "cd_auc_integrated", "one_minus_cindex")
 
@@ -135,42 +135,68 @@ def _brier_scorer(grid: TimeGrid, data: SurvivalDataset):
 
     A cell is a past event (target 0, weight 1/G(t_i-)), still at risk
     (target 1, weight 1/G(t)) or neither (weight 0); the masks are disjoint.
-    So one weight and one target matrix are built here, once, and each score
-    is one weighted square (S - target)**2 * weight, computed in one reused
-    buffer, and one sum over rows.
-    Each cell equals S**2 * w_event + (1 - S)**2 * w_risk bit for bit, as
+    Row i is at risk exactly at the grid points below its cut, the number
+    of grid points before t_i, so its targets are row ``cut[i]`` of a
+    (T + 1, T) table. What is held: the (n, T) weight matrix, built here
+    once, the cuts, that table and one block buffer of ``_STACK_CELLS``
+    cells plus a row.
+
+    Each score takes S in row blocks of ``_STACK_CELLS // T`` rows: a
+    block's targets are copied into the buffer and turned in place into the
+    weighted square (S - target)**2 * weight, and the buffer is summed over
+    rows. Row 0 of the buffer carries the column sums of the earlier blocks.
+    numpy sums axis 0 of a C-contiguous array row by row, so each sum is
+    the same ordered sum as over the whole (n, T) matrix and bit-identical
+    to it; summing a block apart and then adding it to a running total would
+    group the additions differently. Each cell equals
+    S**2 * w_event + (1 - S)**2 * w_risk bit for bit, as
     (S - 1)**2 == (1 - S)**2 exactly and the other term is an exact zero.
+    A non-finite prediction makes its column's sum non-finite, so S itself
+    is only scanned, to name the bad row, when a sum is. The buffer is
+    reused by every call, so ``score`` is not reentrant.
     """
     G = censoring_km(data)
-    g_before = G.evaluate_left(data.times)[:, None]
-    g_at = G.evaluate(grid.points)[None, :]
-
-    t = grid.points[None, :]
-    observed = data.times[:, None]
-    event = data.events[:, None]
-    past_event = (observed <= t) & (event == 1)
-    at_risk = observed > t
-
+    g_before = G.evaluate_left(data.times)
+    g_at = G.evaluate(grid.points)
     with np.errstate(divide="ignore"):
         w_event = np.where(g_before > 0, 1.0 / g_before, 0.0)
         w_risk = np.where(g_at > 0, 1.0 / g_at, 0.0)
-    weight = past_event * w_event + at_risk * w_risk
-    target = at_risk.astype(float)
-    dropped = (past_event & (g_before == 0)) | (at_risk & (g_at == 0))
-    n_effective = data.n_observations - dropped.sum(axis=0)
+
+    n, n_times = data.n_observations, len(grid)
+    event = data.events == 1
+    cut = np.searchsorted(grid.points, data.times, side="left")
+    at_risk_by_cut = np.arange(n_times) < np.arange(n_times + 1)[:, None]
+    targets = at_risk_by_cut.astype(float)
+    weight = np.where(at_risk_by_cut[cut], w_risk, np.where(event, w_event, 0.0)[:, None])
+
+    # a row is dropped where its weight divides by G = 0: an event past its
+    # cut with G(t_i-) = 0, or a row at risk where G(t) = 0
+    at_risk = n - np.cumsum(np.bincount(cut, minlength=n_times + 1))[:n_times]
+    past_dropped = np.cumsum(np.bincount(cut[event & (g_before == 0)], minlength=n_times + 1))
+    n_effective = n - past_dropped[:n_times] - np.where(g_at == 0, at_risk, 0)
     defined = n_effective > 0
 
-    # one (n, T) buffer for every score: a fresh array per call costs more
-    # in page faults than the arithmetic, so ``score`` is not reentrant
-    scratch = np.empty(weight.shape)
+    rows = max(1, _STACK_CELLS // n_times)
+    block = np.empty((min(rows, n) + 1, n_times))
 
     def score(S) -> MetricCurve:
-        _require_finite(S, "predicted survival")
-        contributions = np.subtract(S, target, out=scratch)
-        contributions *= contributions
-        contributions *= weight
-        values = np.full(len(grid), np.nan)
-        values[defined] = contributions.sum(axis=0)[defined] / n_effective[defined]
+        block[0] = 0.0
+        # an infinite prediction times a zero weight is NaN: the check below names its row
+        with np.errstate(invalid="ignore"):
+            for lo in range(0, n, rows):
+                hi = min(lo + rows, n)
+                contributions = block[1 : hi - lo + 1]
+                # "clip" takes straight into the buffer; the default mode would copy
+                np.take(targets, cut[lo:hi], axis=0, out=contributions, mode="clip")
+                np.subtract(S[lo:hi], contributions, out=contributions)
+                contributions *= contributions
+                contributions *= weight[lo:hi]
+                block[0] = block[: hi - lo + 1].sum(axis=0)
+        sums = block[0]
+        if not np.isfinite(sums).all():
+            _require_finite(S, "predicted survival")
+        values = np.full(n_times, np.nan)
+        values[defined] = sums[defined] / n_effective[defined]
         integrated = integrated_mean(grid.points, values, defined)
         return MetricCurve(values, "brier_score", integrated, defined.copy())
 

@@ -365,11 +365,31 @@ class TestPredict:
         ):
             cox_explainer.predict(np.ones((2, 2, 2)), "survival")
 
-    def test_one_dimensional_matrix_rejected_by_the_model(self, cox_explainer, cox_data):
+    @pytest.mark.parametrize("wrapping", ["cox", "batch", "per_row"])
+    def test_one_dimensional_matrix_rejected_by_the_model(self, cox_data, wrapping):
+        # a callable would take each feature value of the vector as one row
+        model = fit_cox(cox_data)
+        calls = []
+
+        def batch(X, grid):
+            calls.append(len(X))
+            return predict_survival_matrix(model, X, grid)
+
+        def per_row(x, grid):
+            calls.append(1)
+            return predict_survival_matrix(model, x[None, :], grid)[0]
+
+        explainer = {
+            "cox": lambda: explain(model, cox_data),
+            "batch": lambda: Explainer(batch, cox_data),
+            "per_row": lambda: explain(per_row, cox_data),
+        }[wrapping]()
+        calls.clear()
         p = cox_data.n_features
         with pytest.raises(InputError) as raised:
-            cox_explainer.survival_matrix(np.zeros(p))
+            explainer.survival_matrix(np.zeros(p))
         assert str(raised.value) == f"feature matrix must be 2-dimensional, got shape ({p},)"
+        assert calls == []
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_matrix_rejected(self, cox_explainer, cox_data, bad):

@@ -29,7 +29,8 @@ from survival_explain import (
 )
 
 from survival_explain import local_explain
-from survival_explain.global_explain import _STACK_CELLS, _stacked_means
+from survival_explain.explainer import _STACK_CELLS
+from survival_explain.global_explain import _stacked_means
 from survival_explain.local_explain import (
     EXACT_COALITION_MAX,
     _coalition_values,

@@ -141,9 +141,13 @@ class TestPreparedBrierScorer:
         values[defined] = contributions.sum(axis=0)[defined] / n_effective[defined]
         return values, dropped
 
+    # a budget of 1 << 15 cells is one block for these 300 rows; the others run
+    # 64- and 7-row blocks (each with a short last block) and one row at a time
+    @pytest.mark.parametrize("budget", [1 << 15, 12 * 64, 12 * 7 + 5, 1])
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("censoring", ["estimated", "zero_from_seven"])
-    def test_bit_identical_to_the_two_weight_formula(self, seed, censoring, monkeypatch):
+    def test_bit_identical_to_the_two_weight_formula(self, seed, censoring, budget, monkeypatch):
+        monkeypatch.setattr(metrics, "_STACK_CELLS", budget)
         rng = np.random.default_rng(seed)
         n = 300
         times = np.ceil(rng.exponential(5.0, n))
@@ -181,6 +185,17 @@ class TestPreparedBrierScorer:
         assert (at_risk & (S == 0.0)).any() and (at_risk & (S == 1.0)).any()
         assert (~at_risk & (S == 0.0)).any() and (~at_risk & (S == 1.0)).any()
         assert dropped.any() == (censoring == "zero_from_seven")
+
+    # row 1 is censored at 2, so its cells from 2.5 on weigh 0; row 3 is at risk at 1.5
+    @pytest.mark.parametrize("row, column", [(1, 2), (3, 0)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_prediction_names_its_row(self, row, column, bad):
+        data = make_dataset([1.0, 2.0, 3.0, 4.0, 5.0], [1, 0, 1, 1, 0], np.zeros((5, 1)), ["z"])
+        score = _brier_scorer(TimeGrid([1.5, 2.5, 3.5]), data)
+        S = np.full((5, 3), 0.5)
+        S[row, column] = bad
+        with pytest.raises(NumericError, match=f"^predicted survival is not finite for row {row}$"):
+            score(S)
 
 
 class TestCdAuc:
@@ -592,16 +607,42 @@ class TestNonFinitePredictions:
             brier_score(explainer, data)
 
 
+def twenty_thousand_rows():
+    n = 20_000
+    rng = np.random.default_rng(0)
+    times = np.ceil(rng.exponential(30.0, n))
+    events = (rng.random(n) < 0.65).astype(int)
+    levels = np.round(rng.uniform(0.05, 0.95, n), 3)
+    return make_dataset(times, events, levels[:, None], ["s"]), TimeGrid(np.linspace(2.0, 60.0, 20))
+
+
+class TestBrierScorerMemory:
+    def test_holds_one_weight_matrix_and_scores_in_blocks(self):
+        data, grid = twenty_thousand_rows()
+        n, n_times = data.n_observations, len(grid)
+        S = np.repeat(data.features[:, :1], n_times, axis=1)
+
+        tracemalloc.start()
+        try:
+            score = _brier_scorer(grid, data)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            curve = score(S)
+            added = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # the (n, T) weights, the cuts, the (T + 1, T) targets and one block
+        block = 8 * (metrics._STACK_CELLS + n_times)
+        assert held <= 8 * n * n_times + block + 32 * (n + n_times**2)
+        assert added <= 2 * block
+        assert curve.defined.all()
+
+
 class TestRankMetricMemory:
     def test_twenty_thousand_rows_stay_linear_in_memory(self):
         # an n x n float matrix at this size alone would take 3.2 GB
-        n = 20_000
-        rng = np.random.default_rng(0)
-        times = np.ceil(rng.exponential(30.0, n))
-        events = (rng.random(n) < 0.65).astype(int)
-        levels = np.round(rng.uniform(0.05, 0.95, n), 3)
-        data = make_dataset(times, events, levels[:, None], ["s"])
-        grid = TimeGrid(np.linspace(2.0, 60.0, 20))
+        data, grid = twenty_thousand_rows()
+        n, times, events = data.n_observations, data.times, data.events
         explainer = Explainer(
             model=lambda X, g: np.repeat(X[:, :1], len(g), axis=1),
             background=data,

@@ -29,7 +29,8 @@ GRID_CAP = 51
 # few (rows, T) float arrays, and twice this budget raised the explanation
 # benchmark's peak resident memory by 2 %, four times by 6 %, where this one
 # adds 0.4 %. It also bounds the row blocks of the prepared Brier scorer in
-# metrics, whose one block buffer holds this many cells plus a row.
+# metrics, whose one block buffer holds this many cells plus a row, and the
+# slices in which exact SurvSHAP forms phi.
 _STACK_CELLS = 1 << 15
 
 
@@ -154,14 +155,27 @@ class Explainer:
 
     # -- prediction ---------------------------------------------------------
 
+    def _feature_matrix(self, X) -> np.ndarray:
+        """``X`` as floats; ``InputError`` unless 2-D with the background's width.
+
+        Both prediction entries check here before any model call, so a
+        callable is never handed rows of another width.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise InputError(f"feature matrix must be 2-dimensional, got shape {X.shape}")
+        if X.shape[1] != self.background.n_features:
+            raise InputError(
+                f"feature matrix has {X.shape[1]} columns, expected {self.background.n_features}"
+            )
+        return X
+
     def survival_matrix(self, X: np.ndarray, grid: TimeGrid | None = None) -> np.ndarray:
         """(n, T) survival probabilities in [0, 1]; a callable's output is checked first."""
         # ``grid`` stays for the benchmark's layer tracer, which passes it
         # positionally; nothing in this package passes one.
         grid = self.grid if grid is None else grid
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise InputError(f"feature matrix must be 2-dimensional, got shape {X.shape}")
+        X = self._feature_matrix(X)
         if callable(self.model):
             return _checked_survival(self.model(X, grid), len(X), grid)
         return predict_survival_matrix(self.model, X, grid)
@@ -175,7 +189,7 @@ class Explainer:
         """
         if callable(self.model):
             return -np.log(np.clip(self.survival_matrix(X), SURVIVAL_FLOOR, 1.0))
-        H = predict_cumulative_hazard_matrix(self.model, X, self.grid)
+        H = predict_cumulative_hazard_matrix(self.model, self._feature_matrix(X), self.grid)
         # minimum, not fmin: a NaN hazard must reach the metrics' checks
         return np.minimum(H, _HAZARD_CAP, out=H)
 
@@ -196,10 +210,7 @@ class Explainer:
             X = X[None, :]
         if X.ndim != 2:
             raise InputError(f"feature matrix must be 1- or 2-dimensional, got shape {X.shape}")
-        if X.shape[1] != self.background.n_features:
-            raise InputError(
-                f"feature matrix has {X.shape[1]} columns, expected {self.background.n_features}"
-            )
+        X = self._feature_matrix(X)
         if not np.all(np.isfinite(X)):
             raise InputError("feature matrix contains non-finite values")
         if output == "survival":

@@ -182,7 +182,8 @@ def _stacked_means(explainer, sample, take, values, output_type="survival"):
     by ``values[b]``; ``take`` and ``values`` broadcast to (blocks, p). Whole
     blocks go to the model together, as many per call as fit in
     ``_STACK_CELLS`` cells, and each block's mean is the same ordered sum
-    over its rows that predicting it alone would give.
+    over its rows that predicting it alone would give. A call's rows and
+    predictions are dropped before the next call's rows are built.
     """
     take, values = np.broadcast_arrays(np.asarray(take, dtype=bool), values)
     m, p = sample.shape
@@ -194,6 +195,7 @@ def _stacked_means(explainer, sample, take, values, output_type="survival"):
         rows = np.where(take[start:stop, None, :], values[start:stop, None, :], sample)
         predicted = explainer.predict(rows.reshape(-1, p), output_type)
         means[start:stop] = predicted.reshape((stop - start, m) + time_shape).mean(axis=1)
+        del rows, predicted
     return means
 
 

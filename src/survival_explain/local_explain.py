@@ -10,15 +10,22 @@ per sampled permutation. Both methods evaluate their K coalitions (all 2^p,
 or the sampler's distinct prefixes) in one engine that predicts each distinct
 coalition row once: the row for coalition S and background row b depends only
 on S ∩ D(b), where D(b) holds the variables on which b differs from the
-instance. A background row with 2^|D(b)| < K needs only its distinct rows
-(Σ_b 2^|D(b)| in all for exact enumeration), found by reading each
-coalition's bits on D(b) as an integer key into a lookup of 2^|D(b)|
-entries; any other row is predicted for every coalition. Either way the cost
-is the rows predicted, not the number of calls.
+instance, so a row has at most 2^|D(b)| distinct rows (Σ_b 2^|D(b)| in all
+for exact enumeration). Exact enumeration predicts each row's distinct rows
+in the order of their bits on D(b) and adds them into the (2,) * p + (T,)
+view of the value matrix by broadcasting. The sampler finds a row's
+distinct rows by reading each coalition's bits on D(b) as an integer key
+into a lookup of 2^|D(b)| entries and gathers them back to its coalitions
+when 2^|D(b)| < K; any other row it predicts for every coalition. A row's
+rows beyond one model call's ``_STACK_CELLS`` cells are cut into pieces, so
+no call exceeds that budget unless one coalition row does, and memory is the
+value matrix plus one call. Either way the cost is the rows predicted, not
+the number of calls.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,9 +52,8 @@ from .global_explain import (
 # exact Shapley enumerates 2^p coalitions; beyond this the sampler takes over
 EXACT_COALITION_LIMIT = 10
 # the most variables an explicit method="exact" accepts: at 2^16 one explanation peaks
-# at 78.8 MiB (tracemalloc, 47-point grid): the 23.5 MiB (2^p, T) value matrix, a gather
-# buffer as large and a 2^p-entry gather index kept per distinct D(b) (its lookup has
-# only 2^|D(b)| entries); each doubles per variable
+# at 24.1 MiB (tracemalloc, 47-point grid), the 23.5 MiB (2^p, T) value matrix, which
+# doubles per variable, plus one budgeted model call and a slice of phi's gains
 EXACT_COALITION_MAX = 16
 SURVLIME_RIDGE = 1e-8
 
@@ -139,43 +145,120 @@ def _distinct_rows(table):
     return first, inverse
 
 
-def _gather_tables(coalitions, patterns):
-    """For each row D of the (g, p) bool table ``patterns``: the coalitions
-    of the distinct S ∩ D, and each coalition's index into them, built once
-    per distinct D and shared by the rows equal to it.
+def _gather_tables(coalitions, columns):
+    """For a background row that differs from ``x`` on ``columns`` (D): the
+    coalitions of the distinct S ∩ D, and each coalition's index into them.
 
     A coalition's key is its bits on D as an integer, so the distinct keys
-    are the distinct S ∩ D, found without a sort by a lookup of the 2^|D|
-    possible keys; only rows with 2^|D| < K are gathered, so it has fewer
-    than K entries. The index kept has K entries per distinct D. Each
-    distinct key's coalition holds its bits on D and no variable off D,
-    where the background row equals x anyway.
+    are the distinct S ∩ D, found in increasing order without a sort by a
+    lookup of the 2^|D| possible keys; only rows with 2^|D| < K are gathered,
+    so it has fewer than K entries. Each distinct key's coalition holds its
+    bits on D and no variable off D, where the background row equals x
+    anyway. The sampler alone uses it: exact enumeration needs no index.
     """
-    first, pattern_of = _distinct_rows(patterns)
-    tables = []
-    for pattern in patterns[first]:
-        columns = np.flatnonzero(pattern)
-        shifts = np.arange(len(columns))
-        # exact in floating point: every key is below 2^|D| < K
-        keys = (coalitions[:, columns].astype(float) @ 2.0**shifts).astype(np.intp)
-        lookup = np.zeros(1 << len(columns), dtype=np.intp)
-        lookup[keys] = 1
-        distinct = np.flatnonzero(lookup)
-        lookup[distinct] = np.arange(len(distinct))
-        take = np.zeros((len(distinct), len(pattern)), dtype=bool)
-        take[:, columns] = (distinct[:, None] >> shifts) & 1
-        tables.append((take, lookup[keys]))
-    return [tables[k] for k in pattern_of]
+    shifts = np.arange(len(columns))
+    # exact in floating point: every key is below 2^|D| < K
+    keys = (coalitions[:, columns].astype(float) @ 2.0**shifts).astype(np.intp)
+    lookup = np.zeros(1 << len(columns), dtype=np.intp)
+    lookup[keys] = 1
+    distinct = np.flatnonzero(lookup)
+    lookup[distinct] = np.arange(len(distinct))
+    take = np.zeros((len(distinct), coalitions.shape[1]), dtype=bool)
+    take[:, columns] = (distinct[:, None] >> shifts) & 1
+    return take, lookup[keys]
 
 
-def _unit_rows(x, units):
-    """The rows of ``units`` for one model call: each unit's background row
+def _equal_bounds(n, per_call):
+    """Bounds of the fewest pieces of 0..n, of sizes as equal as whole rows
+    allow, that fit ``per_call``: a full piece then a short one made glibc trim
+    and refault the heap top on every row, 11 500 page faults per exact p = 10
+    explanation, not 300."""
+    pieces = -(-n // per_call)
+    return [n * k // pieces for k in range(pieces + 1)]
+
+
+def _cube_pieces(x, background, cube, per_call):
+    """Exact enumeration's pieces: each background row's 2^|D(b)| distinct
+    rows, to be added by broadcasting into ``cube``, the ``(2,) * p + (T,)``
+    view of the (2^p, T) value matrix, where bit j of a mask is axis p - 1 - j.
+
+    A row's distinct rows are its keys (its bits on D(b)) in increasing
+    order. Above ``per_call`` rows they are cut into sub-cubes of the largest
+    power of two that fits: each fixes the row's highest D(b) columns, so its
+    keys are a contiguous run and its coalitions one basic view of the cube.
+    Yields (rows, background row, coalitions taken, cube view, block shape),
+    each piece's table built only when the packer reaches it.
+    """
+    p, n_times = background.shape[1], cube.shape[-1]
+    most_free = min(p, per_call.bit_length() - 1)
+    # row k holds the bits of k: a piece's keys on its free columns
+    key_bits = ((np.arange(1 << most_free)[:, None] >> np.arange(most_free)) & 1).astype(bool)
+    for row, differs in zip(background, background.view(np.int64) != x.view(np.int64)):
+        columns = np.flatnonzero(differs)
+        free, fixed = columns[:most_free], columns[most_free:].tolist()
+        low = key_bits[: 1 << len(free), : len(free)]
+        # the block has one axis per cube axis the piece leaves open, of
+        # length 2 on D(b) and 1 elsewhere
+        shape = [2 if bit else 1 for bit in differs[::-1].tolist()] + [n_times]
+        # fixed columns ascend, so their axes are deleted from the last one back
+        for column in fixed:
+            del shape[p - 1 - column]
+        for high in range(1 << len(fixed)):
+            take = np.zeros((len(low), p), dtype=bool)
+            take[:, free] = low
+            index = [slice(None)] * p
+            for i, column in enumerate(fixed):
+                index[p - 1 - column] = take[:, column] = (high >> i) & 1
+            yield len(low), row, take, cube[tuple(index)], shape
+
+
+def _gather_pieces(x, background, coalitions, per_call):
+    """The sampler's pieces of its K coalitions, in background-row order.
+
+    A row with 2^|D(b)| < K is gathered: its distinct rows are predicted once
+    and each coalition adds the row its key maps to. Above ``per_call`` rows
+    they are cut into equal ranges of the sorted distinct keys, each adding
+    only to the coalitions that map into it. Any other row is predicted for
+    every coalition, in equal pieces of whole coalitions. Yields (rows,
+    background row, coalitions taken, value rows, block rows or None for all
+    in order). A table is built when the packer first reaches a row with its
+    D(b) and dropped after the last such row's call: rebuilding it per row
+    took a p = 10 sampled explanation about 30 % longer.
+    """
+    n_coalitions = len(coalitions)
+    bounds = _equal_bounds(n_coalitions, per_call)
+    all_differs = background.view(np.int64) != x.view(np.int64)
+    _, pattern_of = _distinct_rows(all_differs)
+    left = np.bincount(pattern_of).tolist()
+    tables = {}
+    for row, differs, pattern in zip(background, all_differs, pattern_of.tolist()):
+        columns = np.flatnonzero(differs)
+        # |D(b)| < bit_length(K - 1) exactly when 2^|D(b)| < K
+        if len(columns) >= (n_coalitions - 1).bit_length():
+            for lo, hi in zip(bounds, bounds[1:]):
+                yield hi - lo, row, coalitions[lo:hi], slice(lo, hi), None
+            continue
+        left[pattern] -= 1
+        if pattern not in tables:
+            tables[pattern] = _gather_tables(coalitions, columns)
+        take, index = tables[pattern] if left[pattern] else tables.pop(pattern)
+        if len(take) <= per_call:
+            yield len(take), row, take, slice(None), index
+            continue
+        cuts = _equal_bounds(len(take), per_call)
+        for lo, hi in zip(cuts, cuts[1:]):
+            selected = np.flatnonzero((index >= lo) & (index < hi))
+            yield hi - lo, row, take[lo:hi], selected, index[selected] - lo
+
+
+def _unit_rows(x, pieces):
+    """The rows of ``pieces`` for one model call: each piece's background row
     with the variables set in each of its coalitions taken from ``x``, each
     cell picked bit for bit by a multiply (``np.where``'s branch per cell took
     twice as long on coalition tables). Built here so the pieces are freed
     before the call's predictions are summed: the peak is one call's rows."""
     rows = []
-    for _, row, take, _, _ in units:
+    for _, row, take, _, _ in pieces:
         bits = row.view(np.int64)
         picked = take * (x.view(np.int64) ^ bits)
         picked ^= bits
@@ -190,60 +273,52 @@ def _coalition_values(explainer, x, background, coalitions=None):
     in ``coalitions[k]`` taken from ``x``.
 
     Background row b differs from ``x`` only on D(b) (compared bit for bit),
-    so its row for coalition S depends only on S ∩ D(b). When 2^|D(b)| < K,
-    by pigeonhole its K rows repeat: it is one unit, its distinct rows,
-    predicted once and gathered back to every coalition. Any other row is
-    predicted for every coalition, in the fewest pieces of equal numbers of
-    whole coalitions that fit ``_STACK_CELLS`` cells, each piece a unit. Each
-    model call takes as many whole units as fit in that budget, and at least
-    one. Each coalition adds its rows to a sum from zero in background-row
-    order, the ordered sum ``_stacked_means`` takes, so for a row-wise model
-    the values are bit-identical to it. Memory is the (K, T) matrix, one
-    call's rows, and a (K, T) gather buffer once a row is gathered.
+    so its row for coalition S depends only on S ∩ D(b), and only its
+    distinct rows are predicted. Exact enumeration (``coalitions`` None)
+    adds them into the value cube by broadcasting (``_cube_pieces``); the
+    sampler gathers them back to its coalitions (``_gather_pieces``),
+    through a (K, T) buffer once a row is gathered. A piece has at most
+    ``_STACK_CELLS`` cells, unless one coalition row alone has more, and
+    each model call takes as many whole pieces as fit in that budget, and
+    at least one. Each coalition adds its rows to a sum from zero in
+    background-row order, the ordered sum ``_stacked_means`` takes, so for a
+    row-wise model the values are bit-identical to it. Memory is the (K, T)
+    matrix and one call's rows and predictions, which are dropped before the
+    next call's rows are built.
     """
-    m, p = background.shape
-    if coalitions is None:
-        coalitions = ((np.arange(1 << p)[:, None] >> np.arange(p)) & 1).astype(bool)
-    n_coalitions, n_times = len(coalitions), len(explainer.grid)
+    p = background.shape[1]
+    n_times = len(explainer.grid)
     per_call = max(1, _STACK_CELLS // n_times)
-    differs = background.view(np.int64) != x.view(np.int64)
-    # |D(b)| < bit_length(K - 1) exactly when 2^|D(b)| < K
-    gathered = differs.sum(axis=1) < (n_coalitions - 1).bit_length()
-    tables = iter(_gather_tables(coalitions, differs[gathered]))
-    # equal pieces: a full piece then a short one made glibc trim and refault the
-    # heap top on every row, 11 500 page faults per exact p = 10 explanation, not 300
-    pieces = -(-n_coalitions // per_call)
-    bounds = [n_coalitions * k // pieces for k in range(pieces + 1)]
-    units = []  # (rows predicted, background row, coalitions taken, gather index, first coalition)
-    for row, is_gathered in zip(background, gathered):
-        if is_gathered:
-            take, index = next(tables)
-            units.append((len(take), row, take, index, 0))
-        else:
-            units += [
-                (hi - lo, row, coalitions[lo:hi], None, lo) for lo, hi in zip(bounds, bounds[1:])
-            ]
-    total = np.zeros((n_coalitions, n_times))
+    exact = coalitions is None
+    total = np.zeros((1 << p if exact else len(coalitions), n_times))
+    if exact:
+        pieces = _cube_pieces(x, background, total.reshape((2,) * p + (n_times,)), per_call)
+    else:
+        pieces = _gather_pieces(x, background, coalitions, per_call)
     scratch = None
-    start = 0
-    while start < len(units):
-        stop, n_rows = start + 1, units[start][0]
-        while stop < len(units) and n_rows + units[stop][0] <= per_call:
-            n_rows += units[stop][0]
-            stop += 1
-        predicted = explainer.predict(_unit_rows(x, units[start:stop]), "survival")
-        offset = 0
-        for size, _, _, index, lo in units[start:stop]:
-            block = predicted[offset : offset + size]
-            offset += size
-            if index is None:
-                total[lo : lo + size] += block
-            else:
-                if scratch is None:
-                    scratch = np.empty_like(total)
-                total += block.take(index, axis=0, out=scratch, mode="clip")
-        start = stop
-    total /= m
+    call, n_rows = [], 0
+    for piece in itertools.chain(pieces, [None]):
+        if call and (piece is None or n_rows + piece[0] > per_call):
+            predicted = explainer.predict(_unit_rows(x, call), "survival")
+            offset = 0
+            for size, _, _, target, source in call:
+                block = predicted[offset : offset + size]
+                offset += size
+                if exact:
+                    target += block.reshape(source)
+                elif source is None:
+                    total[target] += block
+                else:
+                    if scratch is None:
+                        scratch = np.empty_like(total)
+                    out = scratch[: len(source)]
+                    total[target] += block.take(source, axis=0, out=out, mode="clip")
+            del predicted, block
+            call, n_rows = [], 0
+        if piece is not None:
+            call.append(piece)
+            n_rows += piece[0]
+    total /= len(background)
     return total
 
 
@@ -251,28 +326,44 @@ def _exact_shapley(explainer, x, background):
     """Exact phi, baseline and no standard error, from all 2^p coalitions.
 
     Row ``mask`` of the value matrix is the coalition whose bit j says
-    whether variable j comes from ``x``. Viewed as a cube with one axis of
-    length 2 per variable, bit j is axis p - 1 - j, and fixing that axis to
-    0 or 1 leaves the coalitions without j, or with it added, in mask order.
-    Each phi[j] weighs the differences v(S with j) - v(S) by the size of S,
-    so a variable the model ignores gets exact zeros.
+    whether variable j comes from ``x``, so bit j cuts the masks into runs
+    of 2^j coalitions without j, each followed by the same run with j
+    added: the gains v(S with j) - v(S), in mask order of S. Each phi[j]
+    weighs them by the size of S, so a variable the model ignores gets
+    exact zeros. They are formed in slices of at most ``_STACK_CELLS`` cells,
+    a power of two rows, and summed over rows with row 0 of the slice buffer
+    carrying the earlier slices' sum: numpy sums axis 0 of a C-contiguous
+    array row by row, so each sum is the one over all 2^(p - 1) rows at
+    once, bit for bit. One column it sums pairwise, so with one grid point
+    the rows go in one slice (at most 2^15 by ``EXACT_COALITION_MAX``).
     """
     p = len(x)
     values = _coalition_values(explainer, x, background)
     n_times = values.shape[1]
-    cube = values.reshape((2,) * p + (n_times,))
+    half = 1 << (p - 1)
     by_size = np.array(
         [
             math.factorial(size) * math.factorial(p - size - 1) / math.factorial(p)
             for size in range(p)
         ]
     )
-    weights = by_size[np.bitwise_count(np.arange(1 << (p - 1))), None]
+    weights = by_size[np.bitwise_count(np.arange(half)), None]
+    per_slice = max(1, _STACK_CELLS // n_times)
+    rows = half if n_times == 1 else min(half, 1 << (per_slice.bit_length() - 1))
+    buffer = np.empty((rows + 1, n_times))
+    gains = buffer[1:]
     phi = np.empty((p, n_times))
     for j in range(p):
-        axes = (slice(None),) * (p - 1 - j)
-        gains = (cube[axes + (1,)] - cube[axes + (0,)]).reshape(-1, n_times)
-        phi[j] = (weights * gains).sum(axis=0)
+        runs = values.reshape(half >> j, 2, 1 << j, n_times)
+        # rows and 2^j are powers of two: a slice lies in one run or is whole runs
+        n_runs, run_rows = max(1, rows >> j), min(rows, 1 << j)
+        for lo in range(0, half, rows):
+            outer, inner = divmod(lo, 1 << j)
+            here = runs[outer : outer + n_runs, :, inner : inner + run_rows]
+            np.subtract(here[:, 1], here[:, 0], out=gains.reshape(here[:, 1].shape))
+            gains *= weights[lo : lo + rows]
+            buffer[0] = buffer[1 if lo == 0 else 0 :].sum(axis=0)
+        phi[j] = buffer[0]
     # a copy, so a kept result does not hold the whole value matrix alive
     return phi, values[0].copy(), None
 

@@ -365,9 +365,12 @@ class TestPredict:
         ):
             cox_explainer.predict(np.ones((2, 2, 2)), "survival")
 
+    @pytest.mark.parametrize("entry", ["survival_matrix", "_cumulative_hazard"])
+    @pytest.mark.parametrize("shape", ["one_dimensional", "too_wide"])
     @pytest.mark.parametrize("wrapping", ["cox", "batch", "per_row"])
-    def test_one_dimensional_matrix_rejected_by_the_model(self, cox_data, wrapping):
-        # a callable would take each feature value of the vector as one row
+    def test_one_dimensional_matrix_rejected_by_the_model(self, cox_data, wrapping, shape, entry):
+        # a callable would take each feature value of the vector as one row,
+        # and would be handed rows wider than the background
         model = fit_cox(cox_data)
         calls = []
 
@@ -386,9 +389,16 @@ class TestPredict:
         }[wrapping]()
         calls.clear()
         p = cox_data.n_features
+        X, message = {
+            "one_dimensional": (
+                np.zeros(p),
+                f"feature matrix must be 2-dimensional, got shape ({p},)",
+            ),
+            "too_wide": (np.zeros((2, p + 2)), f"feature matrix has {p + 2} columns, expected {p}"),
+        }[shape]
         with pytest.raises(InputError) as raised:
-            explainer.survival_matrix(np.zeros(p))
-        assert str(raised.value) == f"feature matrix must be 2-dimensional, got shape ({p},)"
+            getattr(explainer, entry)(X)
+        assert str(raised.value) == message
         assert calls == []
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

@@ -124,11 +124,17 @@ class TestSurvShap:
         oracle = brute_force_shapley(explainer, x, background)
         assert np.max(np.abs(result.phi - oracle)) < 1e-12
 
-    @pytest.mark.parametrize("n_times", [1, 33])
+    # phi is formed in slices of this many rows; None keeps the real budget
+    @pytest.mark.parametrize("slice_rows", [None, 1, 3, 64])
+    @pytest.mark.parametrize("n_times", [1, 2, 33])
     @pytest.mark.parametrize("p", [1, 2, 3, 6, 10, 12])
-    def test_exact_combine_bit_identical_to_the_mask_loop(self, p, n_times, monkeypatch):
+    def test_exact_combine_bit_identical_to_the_mask_loop(
+        self, p, n_times, slice_rows, monkeypatch
+    ):
         values = np.random.default_rng(p * n_times).random((1 << p, n_times))
         monkeypatch.setattr(local_explain, "_coalition_values", lambda *arguments: values)
+        if slice_rows is not None:
+            monkeypatch.setattr(local_explain, "_STACK_CELLS", slice_rows * n_times)
         phi, baseline, standard_error = _exact_shapley(None, np.zeros(p), None)
         assert np.array_equal(phi, mask_loop_shapley(values))
         assert np.array_equal(baseline, values[0])
@@ -385,9 +391,10 @@ class TestDistinctCoalitionRows:
                 assert np.array_equal(result.phi, reference.phi)
                 assert np.array_equal(result.baseline, reference.baseline)
 
-    def test_over_budget_blocks_are_gathered_whole_at_twelve_variables(self, monkeypatch):
+    def test_over_budget_blocks_are_cut_into_sub_cubes_at_twelve_variables(self, monkeypatch):
         # from p = 11 on, a block can outgrow the budget while D(b) leaves out
-        # a variable; it is then gathered, so it goes whole, in a call alone
+        # a variable; it is cut into sub-cubes of the largest power of two of
+        # rows that fits, each in a call of its own, since two would not fit
         p = 12
         data = simulate_cohort(120, p, seed=p)
         explainer = explain(fit_cox(data), data)
@@ -410,7 +417,9 @@ class TestDistinctCoalitionRows:
             call_rows.clear()
             values = _coalition_values(explainer, x, background)
             assert sum(call_rows) == block_rows.sum()
-            assert sorted(rows for rows in call_rows if rows > per_call) == sorted(over)
+            assert max(call_rows) <= per_call
+            piece = 1 << (per_call.bit_length() - 1)
+            assert sum(rows >= piece for rows in call_rows) >= sum(over) // piece
             assert np.array_equal(values, all_rows_values(explainer, x, background))
             result = predict_parts_survshap(explainer, x, 17, method="exact")
             with monkeypatch.context() as patched:
@@ -614,6 +623,97 @@ class TestDistinctCoalitionRows:
             predict_parts_survshap(explainer, data.features[0], method="exact")
         with pytest.raises(InputError, match="^exact SurvSHAP enumerates"):
             model_survshap(explainer, data.features[:2], method="exact")
+
+
+class TestBudgetedPieces:
+    """No engine call exceeds ``_STACK_CELLS`` cells unless one coalition row
+    does: a background row whose distinct rows exceed one call is cut into
+    pieces, and every value stays bit-identical."""
+
+    @staticmethod
+    def recording(explainer, monkeypatch):
+        call_rows = []
+        predict = explainer.predict
+
+        def record(X, output_type):
+            call_rows.append(len(X))
+            return predict(X, output_type)
+
+        monkeypatch.setattr(explainer, "predict", record)
+        return call_rows
+
+    # budgets in rows per call; one row is the budget of one cell
+    @pytest.mark.parametrize("rows_per_call", [1, 5, 37])
+    @pytest.mark.parametrize("method", ["exact", "sampling"])
+    @pytest.mark.parametrize("p", [3, 6, 8])
+    def test_pieces_bit_identical_to_every_coalition_block(
+        self, p, method, rows_per_call, monkeypatch
+    ):
+        data = simulate_cohort(120, p, seed=p)
+        explainer = explain(fit_cox(data), data)
+        n_times = len(explainer.grid)
+        background = background_sample(data.features, 17)
+        coalitions = None if method == "exact" else sampled_table(p, 12, seed=p)
+        n_coalitions = 1 << p if coalitions is None else len(coalitions)
+        outside = background[3].copy()
+        outside[::2] += 0.005  # the continuous columns
+        options = dict(n_background=17, method=method, n_permutations=12, seed=p)
+        for x in (background[3], outside):
+            differs = background != x
+            gathered = differs.sum(axis=1) < (n_coalitions - 1).bit_length()
+            assert gathered.any()
+            reference = all_rows_values(explainer, x, background, coalitions)
+            with monkeypatch.context() as patched:
+                patched.setattr(local_explain, "_coalition_values", all_rows_values)
+                expected = predict_parts_survshap(explainer, x, **options)
+            with monkeypatch.context() as patched:
+                budget = 1 if rows_per_call == 1 else rows_per_call * n_times
+                patched.setattr(local_explain, "_STACK_CELLS", budget)
+                call_rows = self.recording(explainer, patched)
+                values = _coalition_values(explainer, x, background, coalitions)
+                assert max(call_rows) <= rows_per_call
+                if method == "exact":
+                    assert sum(call_rows) == (1 << differs.sum(axis=1)).sum()
+                result = predict_parts_survshap(explainer, x, **options)
+            assert np.array_equal(values, reference)
+            assert np.array_equal(result.phi, expected.phi)
+            assert np.array_equal(result.baseline, expected.baseline)
+            if method == "sampling":
+                assert np.array_equal(result.standard_error, expected.standard_error)
+
+    @pytest.mark.parametrize("p", [12, 14, 16])
+    def test_no_call_exceeds_the_budget(self, p, monkeypatch):
+        data = simulate_cohort(300, p, seed=p)
+        explainer = explain(fit_cox(data), data)
+        per_call = _STACK_CELLS // len(explainer.grid)
+        x = data.features[11]
+        background = background_sample(data.features, 100)
+        block_rows = 1 << (background != x).sum(axis=1)
+        # rows left whole would make calls of up to 2 048 to 8 192 rows here
+        assert block_rows.max() > 2 * per_call
+        call_rows = self.recording(explainer, monkeypatch)
+        predict_parts_survshap(explainer, x, method="exact")
+        assert max(call_rows) <= per_call
+        assert sum(call_rows) == block_rows.sum()
+        n_permutations = 120
+        assert len(sampled_table(p, n_permutations, seed=1)) > per_call
+        call_rows.clear()
+        predict_parts_survshap(explainer, x, method="sampling", n_permutations=n_permutations, seed=1)
+        assert max(call_rows) <= per_call
+
+    def test_memory_peak_at_sixteen_variables(self):
+        # the (2^p, T) value matrix plus 4 MiB; the whole-row engine peaked at
+        # 78.8 MiB here, 55 MiB over the value matrix
+        data = simulate_cohort(300, 16, seed=16)
+        explainer = explain(fit_cox(data), data)
+        x = data.features[11]
+        tracemalloc.start()
+        try:
+            predict_parts_survshap(explainer, x, method="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1 << 16) * len(explainer.grid) * 8 + 4 * 2**20
 
 
 @pytest.fixture(scope="module")

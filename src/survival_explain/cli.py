@@ -226,7 +226,7 @@ def _handle_performance(args, explainer, data):
     if args.at_time is not None:
         roc = _roc_scorer(explainer.grid, data, args.at_time)(S)
         result["roc"] = {
-            "time": roc.time,
+            "time": args.at_time,
             "fpr": roc.fpr,
             "tpr": roc.tpr,
             "thresholds": roc.thresholds,
@@ -284,12 +284,12 @@ def _handle_profile(args, explainer, data):
     )
     result = {
         "variable": args.variable,
-        "method": surface.method,
-        "output_type": surface.output_type,
+        "method": args.method,
+        "output_type": args.output_type,
         "grid_values": surface.grid_values[0],
         "values": surface.values,
     }
-    label = f"{surface.method} of {args.variable}"
+    label = f"{args.method} of {args.variable}"
     return result, *_profile_curves(
         explainer.grid, surface.grid_values[0], surface.values, args.output_type, label
     )
@@ -304,8 +304,8 @@ def _handle_profile2d(args, explainer, data):
         output_type=args.output_type,
     )
     result = {
-        "variables": list(surface.variables),
-        "output_type": surface.output_type,
+        "variables": args.variables,
+        "output_type": args.output_type,
         "grid_values": list(surface.grid_values),
         "values": surface.values,
     }
@@ -343,7 +343,7 @@ def _handle_shap(args, explainer, data):
         "baseline": shap.baseline,
         "aggregate": shap.aggregate,
         "n_samples": shap.n_samples,
-        "seed": shap.seed,
+        "seed": args.seed,
         "standard_error": shap.standard_error,
     }
     return result, *_time_curves(explainer, data.feature_names, shap.phi, "attribution")
@@ -361,7 +361,7 @@ def _handle_lime(args, explainer, data):
         "kernel_width": lime.kernel_width,
         "fit_residual": lime.fit_residual,
         "degenerate": lime.degenerate,
-        "neighborhood_size": lime.neighborhood_size,
+        "neighborhood_size": args.n_neighbors,
     }
     if lime.degenerate:
         _warn("the SurvLIME surrogate is degenerate: its weighted design is rank-deficient, "
@@ -380,8 +380,8 @@ def _handle_ice(args, explainer, data):
     )
     result = {
         "row": row,
-        "variable": profile.variable,
-        "output_type": profile.output_type,
+        "variable": args.variable,
+        "output_type": args.output_type,
         "observed_value": profile.observed_value,
         "grid_values": profile.grid_values,
         "curves": profile.curves,

@@ -23,8 +23,8 @@ _HAZARD_CAP = -np.log(SURVIVAL_FLOOR)
 #: Default grids are capped at this many points to bound explanation cost.
 GRID_CAP = 51
 
-# Rows x grid points per model call in the stacked drivers (PDP grid points
-# in global_explain, SurvSHAP coalition rows in local_explain): six 100-row
+# Rows x grid points per model call in the stacked drivers (PDP and ICE grid
+# points, SurvSHAP coalition rows in local_explain): six 100-row
 # blocks at the 51-point default grid. Sized by peak memory: a call holds a
 # few (rows, T) float arrays, and twice this budget raised the explanation
 # benchmark's peak resident memory by 2 %, four times by 6 %, where this one

@@ -43,26 +43,21 @@ class VariableImportance:
     baseline_loss: float | np.ndarray
     permuted_loss: float | np.ndarray
     importance: float | np.ndarray
-    n_permutations: int
-    seed: int
     replicate_losses: np.ndarray = field(repr=False, default=None)
     standard_error: float | np.ndarray | None = None
 
 
 @dataclass
 class ProfileSurface:
-    """PDP or ALE profile of one or two variables.
+    """PDP or ALE profile of one or two variables, one grid per variable.
 
-    ``values`` is indexed (grid point[, second grid point], time); profiles
-    with ``output_type == "risk"`` drop the trailing time axis because risk
-    is a scalar per prediction; the time axis is the explainer's grid.
+    ``values`` is indexed (grid point[, second grid point], time); a risk
+    profile drops the trailing time axis because risk is a scalar per
+    prediction; the time axis is the explainer's grid.
     """
 
-    variables: tuple[str, ...]
     grid_values: tuple[np.ndarray, ...]
     values: np.ndarray
-    method: str
-    output_type: str
 
 
 @dataclass
@@ -166,8 +161,6 @@ def model_parts(
                 baseline_loss=baseline,
                 permuted_loss=baseline + importance,
                 importance=importance,
-                n_permutations=n_permutations,
-                seed=seed,
                 replicate_losses=replicates,
                 standard_error=_replicate_standard_error(replicates),
             )
@@ -229,7 +222,7 @@ def model_profile(
         grid_values = _quantile_grid(column, grid_size)
         take = np.arange(sample.shape[1]) == j
         values = _stacked_means(explainer, sample, take, grid_values[:, None], output_type)
-        return ProfileSurface((variable,), (grid_values,), values, "pdp", output_type)
+        return ProfileSurface((grid_values,), values)
 
     edges = _quantile_grid(column, grid_size + 1)
     if len(edges) < 2:
@@ -251,7 +244,7 @@ def model_profile(
     ]
     accumulated = np.concatenate([zero[None, ...], np.cumsum(effects, axis=0)])
     accumulated = accumulated - accumulated.mean(axis=0, keepdims=True)
-    return ProfileSurface((variable,), (edges,), accumulated, "ale", output_type)
+    return ProfileSurface((edges,), accumulated)
 
 
 def model_profile_2d(
@@ -283,7 +276,7 @@ def model_profile_2d(
     pinned[:, :, j2] = grid2[None, :]
     means = _stacked_means(explainer, sample, take, pinned.reshape(-1, p), output_type)
     values = means.reshape((len(grid1), len(grid2)) + means.shape[1:])
-    return ProfileSurface((first, second), (grid1, grid2), values, "pdp", output_type)
+    return ProfileSurface((grid1, grid2), values)
 
 
 def model_diagnostics(explainer: Explainer) -> ResidualSet:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import global_explain
 from .data import TimeGrid
 from .errors import InputError, NumericError
 from .estimators import nelson_aalen
@@ -76,7 +77,6 @@ class SurvShapResult:
     aggregate: np.ndarray
     method: str
     n_samples: int
-    seed: int | None
     standard_error: np.ndarray | None = None
 
 
@@ -93,7 +93,6 @@ class SurvLimeResult:
     """
 
     surrogate_beta: np.ndarray
-    neighborhood_size: int
     kernel_width: float
     fit_residual: float
     degenerate: bool = False
@@ -108,11 +107,9 @@ class IceProfile:
     unmodified prediction. Risk output drops the time axis.
     """
 
-    variable: str
     grid_values: np.ndarray
     curves: np.ndarray
     observed_value: float
-    output_type: str
 
 
 @dataclass
@@ -334,8 +331,7 @@ def _exact_shapley(explainer, x, background):
     a power of two rows, and summed over rows with row 0 of the slice buffer
     carrying the earlier slices' sum: numpy sums axis 0 of a C-contiguous
     array row by row, so each sum is the one over all 2^(p - 1) rows at
-    once, bit for bit. One column it sums pairwise, so with one grid point
-    the rows go in one slice (at most 2^15 by ``EXACT_COALITION_MAX``).
+    once, bit for bit (for the two or more columns every ``TimeGrid`` has).
     """
     p = len(x)
     values = _coalition_values(explainer, x, background)
@@ -349,7 +345,7 @@ def _exact_shapley(explainer, x, background):
     )
     weights = by_size[np.bitwise_count(np.arange(half)), None]
     per_slice = max(1, _STACK_CELLS // n_times)
-    rows = half if n_times == 1 else min(half, 1 << (per_slice.bit_length() - 1))
+    rows = min(half, 1 << (per_slice.bit_length() - 1))
     buffer = np.empty((rows + 1, n_times))
     gains = buffer[1:]
     phi = np.empty((p, n_times))
@@ -430,8 +426,8 @@ def _survshap_setup(explainer, n_background, method, n_permutations, seed):
     return method, background_sample(explainer.background.features, n_background)
 
 
-def _survshap(explainer, x, background, method, n_permutations, seed_sequence, seed):
-    """SurvSHAP of one checked instance; ``seed`` is only reported."""
+def _survshap(explainer, x, background, method, n_permutations, seed_sequence):
+    """SurvSHAP of one checked instance."""
     if method == "exact":
         phi, baseline, standard_error = _exact_shapley(explainer, x, background)
         n_samples = 1 << len(x)
@@ -446,7 +442,6 @@ def _survshap(explainer, x, background, method, n_permutations, seed_sequence, s
         aggregate=_span_normalized_integral(np.abs(phi), explainer.grid),
         method=method,
         n_samples=n_samples,
-        seed=seed,
         standard_error=standard_error,
     )
 
@@ -469,7 +464,7 @@ def predict_parts_survshap(
     """
     x = _check_instance(explainer, x)
     method, background = _survshap_setup(explainer, n_background, method, n_permutations, seed)
-    return _survshap(explainer, x, background, method, n_permutations, _seed_sequence(seed), seed)
+    return _survshap(explainer, x, background, method, n_permutations, _seed_sequence(seed))
 
 
 def predict_parts_survlime(
@@ -542,7 +537,6 @@ def predict_parts_survlime(
     residual = float(weights @ (targets - design @ solution) ** 2)
     return SurvLimeResult(
         surrogate_beta=beta,
-        neighborhood_size=n_neighbors,
         kernel_width=float(sigma),
         fit_residual=residual,
         degenerate=degenerate,
@@ -562,7 +556,8 @@ def predict_profile(
     The default grid is the variable's background quantiles with the
     instance's own value inserted; pass ``grid_values`` to evaluate on an
     explicit grid instead (sorted and deduplicated, no insertion), e.g. to
-    average ICE curves against a PDP on the identical grid.
+    average ICE curves against a PDP on the identical grid. The grid's rows
+    go to the model in calls of at most ``_STACK_CELLS`` cells, as a PDP's do.
     """
     x = _check_instance(explainer, x)
     output_type = _normalize_output_type(output_type)
@@ -581,16 +576,12 @@ def predict_profile(
         if not np.all(np.isfinite(grid_values)):
             raise InputError("grid_values must be finite")
 
-    batch = np.repeat(x[None, :], len(grid_values), axis=0)
-    batch[:, j] = grid_values
-    curves = explainer.predict(batch, output_type)
-    return IceProfile(
-        variable=variable,
-        grid_values=grid_values,
-        curves=curves,
-        observed_value=float(x[j]),
-        output_type=output_type,
+    # a PDP over the one-row sample x: its mean over one row is that row's prediction
+    take = np.arange(len(x)) == j
+    curves = global_explain._stacked_means(
+        explainer, x[None, :], take, grid_values[:, None], output_type
     )
+    return IceProfile(grid_values=grid_values, curves=curves, observed_value=float(x[j]))
 
 
 def model_survshap(
@@ -619,7 +610,7 @@ def model_survshap(
         try:
             x, row_seed = _check_instance(explainer, row), _seed_sequence(seed, (i,))
             per_instance.append(
-                _survshap(explainer, x, background, method, n_permutations, row_seed, None)
+                _survshap(explainer, x, background, method, n_permutations, row_seed)
             )
         except (InputError, NumericError) as error:
             raise type(error)(f"row {i}: {error}") from error

@@ -32,7 +32,6 @@ class MetricCurve:
     """
 
     values: np.ndarray
-    metric_name: str
     integrated: float | None
     defined: np.ndarray
 
@@ -47,7 +46,6 @@ class RocCurve:
     threshold.
     """
 
-    time: float
     fpr: np.ndarray
     tpr: np.ndarray
     thresholds: np.ndarray
@@ -198,7 +196,7 @@ def _brier_scorer(grid: TimeGrid, data: SurvivalDataset):
         values = np.full(n_times, np.nan)
         values[defined] = sums[defined] / n_effective[defined]
         integrated = integrated_mean(grid.points, values, defined)
-        return MetricCurve(values, "brier_score", integrated, defined.copy())
+        return MetricCurve(values, integrated, defined.copy())
 
     return score
 
@@ -220,37 +218,47 @@ def brier_score(explainer: Explainer, data: SurvivalDataset) -> MetricCurve:
 def _cd_auc_scorer(grid: TimeGrid, data: SurvivalDataset):
     """Prepare the cumulative/dynamic AUC on ``data``; returns ``score(risk)``.
 
-    Each defined grid point keeps its case rows, control mask, control count
-    and case weights, so a score only ranks the risks and counts.
+    Row i is a control at the grid points below its cut, the number of grid
+    points before t_i, and an event row is a case at the others. With the
+    rows sorted by cut, each point's controls are a suffix of that order;
+    its cases are the event rows, in row order, whose cut is at most the
+    point. So the state is O(n + T), and a score only ranks the risks and
+    counts, summing each point's weighted case scores in row order.
     """
     G = censoring_km(data)
     g_before = G.evaluate_left(data.times)
     with np.errstate(divide="ignore"):
         w = np.where(g_before > 0, 1.0 / g_before**2, 0.0)
 
+    cut = np.searchsorted(grid.points, data.times, side="left")
+    by_cut = np.argsort(cut, kind="stable")
+    # the rows with cut > k, point k's controls, are by_cut[starts[k]:]
+    starts = np.searchsorted(cut[by_cut], np.arange(len(grid)), side="right").tolist()
+    event_rows = np.flatnonzero(data.events == 1)
+    event_cut, event_w = cut[event_rows], w[event_rows]
+
     points = []
     defined = np.zeros(len(grid), dtype=bool)
-    for k, t in enumerate(grid.points):
-        cases = np.flatnonzero((data.times <= t) & (data.events == 1))
-        controls = data.times > t
-        n_controls = int(controls.sum())
-        w_cases = w[cases]
-        weight = w_cases.sum()
+    for k, start in enumerate(starts):
+        n_controls = data.n_observations - start
+        weight = event_w[event_cut <= k].sum()
         if weight * n_controls == 0:
             continue
-        points.append((k, cases, controls, n_controls, w_cases, weight))
+        points.append((k, start, n_controls, weight))
         defined[k] = True
 
     def score(risk) -> MetricCurve:
         counter = _RankCounter(risk, "risk score")
+        event_ranks = counter.ranks[event_rows]
         values = np.full(len(grid), np.nan)
-        for k, cases, controls, n_controls, w_cases, weight in points:
-            below, tied = counter.below_and_tied(controls, counter.ranks[cases])
+        for k, start, n_controls, weight in points:
+            cases = event_cut <= k
+            below, tied = counter.below_and_tied(by_cut[start:], event_ranks[cases])
             # all ties make every case score exactly 0.5, hence a value of 0.5
             case_score = (below + 0.5 * tied) / n_controls
-            values[k] = (w_cases * case_score).sum() / weight
+            values[k] = (event_w[cases] * case_score).sum() / weight
         integrated = integrated_mean(grid.points, values, defined)
-        return MetricCurve(values, "cd_auc", integrated, defined.copy())
+        return MetricCurve(values, integrated, defined.copy())
 
     return score
 
@@ -332,7 +340,6 @@ def _roc_scorer(grid: TimeGrid, data: SurvivalDataset, t: float):
         pos_below, _ = counter.below_and_tied(positives, every_level)
         neg_below, _ = counter.below_and_tied(negatives, every_level)
         return RocCurve(
-            time=t,
             fpr=np.append((n_neg - neg_below) / n_neg, 0.0),
             tpr=np.append((n_pos - pos_below) / n_pos, 0.0),
             thresholds=np.append(counter.levels, np.inf),

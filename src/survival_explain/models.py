@@ -20,7 +20,13 @@ from .estimators import kaplan_meier
 _MAX_ITER = 50
 _TOL = 1e-9
 _MAX_HALVINGS = 10
-_DIVERGENCE_BOUND = 20.0
+# A fit is flagged unconverged when its per-row linear term (Cox: X beta;
+# Weibull AFT: the log cumulative hazard at each row's own time) spreads over
+# more than -log(machine epsilon), about 36: exp of the lowest term is then
+# below rounding next to the highest, so the gradient stop can fire where the
+# likelihood only flattens toward infinity. Sound fits spread 4-12 on 300 to
+# 20 000 rows, separated Cox sets 69 and more, and rescaling a feature moves none.
+_SPREAD_BOUND = -math.log(np.finfo(float).eps)
 
 # A trial step can push exp(X beta) past a double's range either way, or make
 # the Weibull shape non-positive. The log-likelihood and its derivatives then
@@ -225,8 +231,9 @@ def fit_cox(data: SurvivalDataset) -> CoxModel:
 
     Features are centered internally; constant columns are uninformative and
     receive coefficient 0. Separation is caught by a divergence guard: a fit
-    that returns any |beta_j| above 20 is flagged non-converged, and one
-    whose Breslow baseline hazard overflows raises FitError.
+    whose linear predictor X beta spreads over more than about 36 (see
+    ``_SPREAD_BOUND``) is flagged non-converged, and one whose Breslow
+    baseline hazard overflows raises FitError.
     """
     means, active, X = _centered_design(data, "Cox")
     objective, baseline = _cox_objective(data.times, data.events, X)
@@ -234,7 +241,7 @@ def fit_cox(data: SurvivalDataset) -> CoxModel:
 
     beta = np.zeros(data.n_features)
     beta[active] = theta
-    converged = converged and np.max(np.abs(beta), initial=0.0) <= _DIVERGENCE_BOUND
+    converged = converged and np.ptp(X @ theta) <= _SPREAD_BOUND
     return CoxModel(
         beta=beta, baseline_chf=baseline(theta), feature_means=means, converged=bool(converged)
     )
@@ -246,7 +253,8 @@ def fit_weibull_aft(data: SurvivalDataset) -> WeibullAftModel:
 
     All observation times must be strictly positive (the likelihood needs
     log t). Constant columns are excluded and reported with coefficient 0.
-    A fit that returns any |coefficient| above 20 is flagged non-converged.
+    A fit whose log cumulative hazard at each row's own time spreads over
+    more than about 36 (see ``_SPREAD_BOUND``) is flagged non-converged.
     """
     means, active, X = _centered_design(data, "Weibull AFT", positive_times=True)
     t, e = data.times, data.events
@@ -257,7 +265,8 @@ def fit_weibull_aft(data: SurvivalDataset) -> WeibullAftModel:
     shape = float(theta[0])
     coef = np.zeros(data.n_features)
     coef[active] = theta[2:] / shape
-    converged = converged and np.max(np.abs(coef), initial=0.0) <= _DIVERGENCE_BOUND
+    # the intercept shifts every row's log cumulative hazard alike
+    converged = converged and np.ptp(theta[0] * np.log(t) - X @ theta[2:]) <= _SPREAD_BOUND
     # undo the centering so lam(x) = exp(intercept + coef @ x) on raw features
     intercept = float(theta[1] / shape - coef @ means)
     return WeibullAftModel(

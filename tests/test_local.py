@@ -28,7 +28,7 @@ from survival_explain import (
     predict_profile,
 )
 
-from survival_explain import local_explain
+from survival_explain import global_explain, local_explain
 from survival_explain.explainer import _STACK_CELLS
 from survival_explain.global_explain import _stacked_means
 from survival_explain.local_explain import (
@@ -37,6 +37,7 @@ from survival_explain.local_explain import (
     _distinct_rows,
     _exact_shapley,
 )
+from survival_explain.models import predict_survival_matrix
 
 from conftest import make_dataset, simulate_cohort, simulate_cox
 
@@ -126,7 +127,7 @@ class TestSurvShap:
 
     # phi is formed in slices of this many rows; None keeps the real budget
     @pytest.mark.parametrize("slice_rows", [None, 1, 3, 64])
-    @pytest.mark.parametrize("n_times", [1, 2, 33])
+    @pytest.mark.parametrize("n_times", [2, 33])
     @pytest.mark.parametrize("p", [1, 2, 3, 6, 10, 12])
     def test_exact_combine_bit_identical_to_the_mask_loop(
         self, p, n_times, slice_rows, monkeypatch
@@ -175,10 +176,10 @@ class TestSurvShap:
         se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
         assert np.all(gap <= 3.0 * se + 1e-12)
 
-    def test_seed_echo_and_method_validation(self, cox_data, cox_explainer):
+    def test_sample_count_and_method_validation(self, cox_data, cox_explainer):
         x = cox_data.features[0]
         result = predict_parts_survshap(cox_explainer, x, method="sampling", seed=7)
-        assert result.seed == 7 and result.n_samples == 100
+        assert result.n_samples == 100
         with pytest.raises(InputError, match="exact, or sampling"):
             predict_parts_survshap(cox_explainer, x, method="montecarlo")
 
@@ -743,7 +744,6 @@ class TestSurvLime:
         # a proportional-hazards black box leaves essentially no residual
         assert result.fit_residual < 1e-10
         assert not result.degenerate
-        assert result.neighborhood_size == 500
         assert result.kernel_width > 0
 
     def test_zero_variance_feature_gets_zero_coefficient(self):
@@ -887,6 +887,42 @@ class TestIceProfile:
     def test_empty_grid_values_rejected(self, cox_data, cox_explainer):
         with pytest.raises(InputError, match="^grid_values must be nonempty$"):
             predict_profile(cox_explainer, cox_data.features[0], "x0", grid_values=[])
+
+    # None keeps the real budget, 744 rows per call at this 44-point grid
+    @pytest.mark.parametrize("rows_per_call", [None, 1, 7])
+    @pytest.mark.parametrize("output_type", ["survival", "chf", "risk"])
+    def test_rows_equal_the_direct_batch_within_the_call_budget(
+        self, output_type, rows_per_call, monkeypatch
+    ):
+        data = simulate_cohort(200, 3, seed=4)
+        fitted = fit_weibull_aft(data)
+        calls = []
+
+        def counted(X, grid):
+            calls.append(len(X))
+            return predict_survival_matrix(fitted, X, grid)
+
+        x = data.features[5]
+        long = np.linspace(40.0, 80.0, 2500)
+        for model in (fitted, fit_cox(data), counted):
+            explainer = Explainer(model, data)
+            n_times = len(explainer.grid)
+            if rows_per_call is not None:
+                monkeypatch.setattr(global_explain, "_STACK_CELLS", rows_per_call * n_times)
+            budget = global_explain._STACK_CELLS // n_times
+            for grid_values in (None, long):
+                calls.clear()
+                profile = predict_profile(
+                    explainer, x, "x0", output_type=output_type, grid_values=grid_values
+                )
+                batch = np.repeat(x[None, :], len(profile.grid_values), axis=0)
+                batch[:, 0] = profile.grid_values
+                assert np.array_equal(profile.curves, explainer.predict(batch, output_type))
+                if model is counted:
+                    assert sum(calls[:-1]) == len(profile.grid_values)
+                    assert max(calls[:-1]) <= budget
+                    assert len(calls) - 1 == -(-len(profile.grid_values) // budget)
+            monkeypatch.undo()
 
 
 class TestModelSurvShap:

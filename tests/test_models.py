@@ -1,5 +1,7 @@
+import importlib.util
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,6 +397,82 @@ class TestWeibullAft:
         padded = make_dataset(data.times, data.events, features, ["zero", "z"])
         fitted = fit_weibull_aft(padded)
         assert fitted.coefficients[0] == 0.0
+
+
+def separated_cox_set(seed):
+    """One of 200 small sets whose first feature, -time, separates them perfectly."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 41))
+    times = rng.uniform(1.0, 10.0, n)
+    events = (rng.uniform(size=n) > 0.3).astype(int)
+    events[np.argmin(times)] = 1
+    return make_dataset(times, events, np.column_stack([-times, rng.normal(size=n)]))
+
+
+def tiny_weibull_set(seed):
+    """One of 300 sets of 3 to 12 rows, some with no finite Weibull maximum."""
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(3, 13)), int(rng.integers(1, 4))
+    features = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-2, 2, size=p)
+    times = np.exp(rng.normal(size=n))
+    events = (rng.random(n) < 0.7).astype(int)
+    events[0] = 1
+    return make_dataset(times, events, features)
+
+
+def bench_cohort(seed, n):
+    """The benchmark's seeded cohort (``bench/inputs.py``) as a dataset."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    times, events, features, names = inputs.cohort(seed, n)
+    return make_dataset(times, events, features, names)
+
+
+def flag_of(fit, data):
+    """The fit's ``converged`` flag, or "FitError" for a refused fit."""
+    try:
+        return fit(data).converged
+    except FitError:
+        return "FitError"
+
+
+class TestConvergedFlag:
+    def test_no_separated_set_reports_converged(self):
+        flags = [flag_of(fit_cox, separated_cox_set(seed)) for seed in range(200)]
+        assert True not in flags
+        assert flags.count("FitError") > 0 and flags.count(False) > 0
+
+    @pytest.mark.parametrize("seed", [49, 211])
+    def test_weibull_fit_without_a_finite_maximum_is_not_converged(self, seed):
+        fitted = fit_weibull_aft(tiny_weibull_set(seed))
+        # the shape runs off toward infinity: 1e7 and more
+        assert fitted.shape > 1e6
+        assert not fitted.converged
+
+    @pytest.mark.parametrize("fit", [fit_cox, fit_weibull_aft])
+    def test_rescaling_a_feature_leaves_the_flag(self, fit):
+        sets = [bench_cohort(seed, 500) for seed in range(3)]
+        if fit is fit_cox:
+            sets += [separated_cox_set(seed) for seed in (27, 147, 157)]
+        else:
+            sets += [tiny_weibull_set(seed) for seed in (49, 211)]
+        for data in sets:
+            flag = flag_of(fit, data)
+            for j in range(data.n_features):
+                for scale in (1e-3, 1e3):
+                    features = data.features.copy()
+                    features[:, j] *= scale
+                    rescaled = make_dataset(data.times, data.events, features, data.feature_names)
+                    assert flag_of(fit, rescaled) == flag, (j, scale)
+
+    @pytest.mark.parametrize("n", [500, 5000])
+    def test_benchmark_cohorts_stay_converged(self, n):
+        for seed in range(20):
+            data = bench_cohort(seed, n)
+            assert fit_cox(data).converged, seed
+            assert fit_weibull_aft(data).converged, seed
 
 
 class TestFitChecks:
